@@ -189,12 +189,3 @@ def predict_bwd(g_out: dict, cache: dict, params: HeadParams):
     if "sh" in g_out:
         g_colors += np.asarray(g_out["sh"])[:, 0:3] / SH_C0
     return {"hidden": (gw1, gb1), "output": (gw2, gb2)}, g_features, g_colors
-
-
-def predict_multilevel(rep_l1, rep_l2, params: HeadParams,
-                       offset_scales: tuple = (1.0, 1.0)):
-    """Apply the shared head to both pooling levels."""
-    return (
-        predict(rep_l1, params, offset_scales[0]),
-        predict(rep_l2, params, offset_scales[1]),
-    )

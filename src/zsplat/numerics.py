@@ -2,8 +2,10 @@
 finite-difference gradient oracle.
 
 Matrices are plain 2-D numpy arrays (row-major). Production paths run in
-float32; every dot product is accumulated in float64 regardless of storage
-dtype, and gradient-oracle paths run in float64 end to end.
+float32. Linear layers (``matmul``, ``linear``) accumulate in float64 whatever
+the storage dtype; attention score and value products (the group scores and
+the top-k kernel in ``zformer``) do not, and accumulate in the storage dtype.
+Gradient-oracle paths run in float64 end to end.
 
 Random initialization uses SplitMix64, fixed here by constant: output i of a
 stream seeded with ``s`` is ``mix64(s + (i+1) * 0x9E3779B97F4A7C15)`` where

@@ -1,7 +1,7 @@
 """Slow, obviously-correct reference implementations.
 
 Nothing here is used by the production paths; tests compare against these,
-and the benchmark script uses the dense attention as its baseline. They favor
+and the speed contract test uses the dense attention as its baseline. They favor
 directness over speed: explicit bit loops, per-row vector arithmetic, and
 dictionary bucketing.
 """

@@ -14,6 +14,7 @@ The on-disk formats are:
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -319,8 +320,8 @@ def read_tensor(path) -> np.ndarray:
     ):
         raise FormatError(f"bad shape {shape!r}", offset=0)
     dtype = _DTYPES[dtype_name]
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    expected = count * dtype.itemsize
+    # python ints: an int64 product of huge dimensions can wrap to 0
+    expected = math.prod(shape) * dtype.itemsize
     payload = blob[nl + 1 :]
     if len(payload) != expected:
         raise FormatError(
@@ -360,10 +361,11 @@ def load_scene_dir(path, max_workers: int = 1):
     ``max_workers`` > 1 reads views concurrently; the returned list is always
     in view order, so the assembled representation does not depend on it.
     """
-    names = sorted(
-        (d for d in os.listdir(path) if d.startswith("view_")),
-        key=lambda d: int(d.split("_", 1)[1]),
-    )
+    names = [d for d in os.listdir(path) if d.startswith("view_")]
+    for d in names:
+        if not d[len("view_"):].isdecimal():
+            raise InputError(f"{d!r} under {path} is not a view_<i> directory")
+    names.sort(key=lambda d: int(d[len("view_"):]))
     if not names:
         raise InputError(f"no view_<i> directories under {path}")
     dirs = [os.path.join(path, d) for d in names]
@@ -441,7 +443,10 @@ def read_gaussians_ply(path) -> Gaussians:
     props = []
     for line in header:
         if line.startswith("element vertex "):
-            count = int(line.split()[-1])
+            text = line.split()[-1]
+            if not text.isdecimal():
+                raise FormatError(f"bad vertex count: {line}", offset=blob.find(line.encode()))
+            count = int(text)
         elif line.startswith("element "):
             raise FormatError(f"unsupported element: {line}", offset=blob.find(line.encode()))
         elif line.startswith("property "):

@@ -2,9 +2,9 @@
 
 A block runs on features sorted along the Z-curve (``morton.sort_by_code``):
 
-1. group attention — queries/keys/values are mean-pooled over contiguous
-   blocks of ``block_len`` tokens; block-level softmax attention produces both
-   a coarse output (broadcast back to tokens) and the block-affinity matrix;
+1. group attention — queries/keys/values (one projection, shared with top-k)
+   are mean-pooled over contiguous blocks of ``block_len`` tokens; block-level
+   softmax attention produces both a coarse output and the block affinities;
 2. top-k attention — each query block attends to the raw tokens of the k
    blocks its affinity row ranks highest (its own block always included), so
    the full token-by-token score matrix is never materialized;
@@ -112,6 +112,12 @@ class ZFormerParams:
     def layers(self) -> dict:
         return {n: getattr(self, n) for n in self.NAMES}
 
+    def qkv(self) -> LinearLayer:
+        """w_q, w_k and w_v stacked: one product gives q | k | v side by side."""
+        layers = (self.w_q, self.w_k, self.w_v)
+        return LinearLayer(np.concatenate([x.weight for x in layers]),
+                           np.concatenate([x.bias for x in layers]), seed=0)
+
 
 def _accumulate(total: dict, part: dict) -> dict:
     for name, (gw, gb) in part.items():
@@ -121,6 +127,15 @@ def _accumulate(total: dict, part: dict) -> dict:
         else:
             total[name] = (gw, gb)
     return total
+
+
+def _branch_backward(g_qkv: np.ndarray, f: np.ndarray, params: ZFormerParams, g_w_o):
+    """An attention branch's input gradient and layer gradients, given its
+    gradient of ``linear(f, params.qkv())`` and its (d_weight, d_bias) of w_o.
+    The stacked Q/K/V product takes one linear_backward."""
+    gf, gw, gb = linear_backward(g_qkv, f, params.qkv())
+    grads = dict(zip(("w_q", "w_k", "w_v"), zip(np.split(gw, 3), np.split(gb, 3))))
+    return gf, {**grads, "w_o": g_w_o}
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +176,18 @@ def _head_slices(cfg: AttentionConfig):
 # group attention
 
 
-def group_attention_fwd(f: np.ndarray, params: ZFormerParams, cfg: AttentionConfig):
-    """Block-pooled attention. Returns (out n x model, w_blocks B x B, cache).
+def group_attention_fwd(f: np.ndarray, qkv: np.ndarray, params: ZFormerParams,
+                        cfg: AttentionConfig):
+    """Block-pooled attention over ``qkv``, the stacked projections of ``f``.
+    Returns (out n x model, w_blocks B x B, cache).
 
     ``w_blocks`` is the head-mean of the block softmax matrices; with one head
-    it is exactly the attention over pooled queries/keys.
+    it is exactly the attention over pooled queries/keys. ``w_o`` maps the B
+    block rows before they are broadcast back to their tokens.
     """
-    n = f.shape[0]
-    q = linear(f, params.w_q)
-    k = linear(f, params.w_k)
-    v = linear(f, params.w_v)
-    counts = _block_counts(n, cfg.block_len)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    cnt = counts[:, None].astype(q.dtype)
-    qb = np.add.reduceat(q, starts, axis=0) / cnt
-    kb = np.add.reduceat(k, starts, axis=0) / cnt
-    vb = np.add.reduceat(v, starts, axis=0) / cnt
+    counts = _block_counts(f.shape[0], cfg.block_len)
+    pooled = block_pool(qkv, cfg.block_len)
+    qb, kb, vb = np.split(pooled, 3, axis=1)
     slices, dh = _head_slices(cfg)
     scale = dh ** -0.5  # python float: keeps float32 inputs in float32
     probs = []
@@ -187,50 +198,36 @@ def group_attention_fwd(f: np.ndarray, params: ZFormerParams, cfg: AttentionConf
         probs.append(p)
         block_out[:, hs] = p @ vb[:, hs]
     w_blocks = probs[0] if len(probs) == 1 else sum(probs) / len(probs)
-    tokens = np.repeat(block_out, counts, axis=0)
-    out = linear(tokens, params.w_o)
+    out = np.repeat(linear(block_out, params.w_o), counts, axis=0)
     cache = {
-        "f": f, "q": q, "k": k, "v": v, "qb": qb, "kb": kb, "vb": vb,
-        "counts": counts, "probs": probs, "tokens": tokens, "scale": scale,
-        "slices": slices,
+        "f": f, "pooled": pooled, "counts": counts, "probs": probs,
+        "block_out": block_out, "scale": scale, "slices": slices,
     }
     return out, w_blocks, cache
 
 
 def group_attention(f: np.ndarray, params: ZFormerParams, cfg: AttentionConfig):
-    out, w_blocks, _ = group_attention_fwd(f, params, cfg)
-    return out, w_blocks
+    return group_attention_fwd(f, linear(f, params.qkv()), params, cfg)[:2]
 
 
 def group_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
     """Gradient of the group branch; no gradient flows out of w_blocks (its
     only consumer, the top-k ranking, is frozen)."""
     counts = cache["counts"]
-    g_tokens, gw_o, gb_o = linear_backward(g_out, cache["tokens"], params.w_o)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    g_block_out = np.add.reduceat(g_tokens, starts, axis=0)
-    g_qb = np.zeros_like(cache["qb"])
-    g_kb = np.zeros_like(cache["kb"])
-    g_vb = np.zeros_like(cache["vb"])
+    g_rows = np.add.reduceat(g_out, starts, axis=0)
+    g_block_out, gw_o, gb_o = linear_backward(g_rows, cache["block_out"], params.w_o)
+    qb, kb, vb = np.split(cache["pooled"], 3, axis=1)
+    g_pooled = np.zeros_like(cache["pooled"])
+    g_qb, g_kb, g_vb = np.split(g_pooled, 3, axis=1)
     for p, hs in zip(cache["probs"], cache["slices"]):
         g_o = g_block_out[:, hs]
-        g_p = g_o @ cache["vb"][:, hs].T
+        g_p = g_o @ vb[:, hs].T
         g_vb[:, hs] = p.T @ g_o
         g_s = softmax_rows_backward(g_p, p) * cache["scale"]
-        g_qb[:, hs] = g_s @ cache["kb"][:, hs]
-        g_kb[:, hs] = g_s.T @ cache["qb"][:, hs]
-    g_q = _unpool(g_qb, counts)
-    g_k = _unpool(g_kb, counts)
-    g_v = _unpool(g_vb, counts)
-    f = cache["f"]
-    gf_q, gw_q, gb_q = linear_backward(g_q, f, params.w_q)
-    gf_k, gw_k, gb_k = linear_backward(g_k, f, params.w_k)
-    gf_v, gw_v, gb_v = linear_backward(g_v, f, params.w_v)
-    grads = {
-        "w_q": (gw_q, gb_q), "w_k": (gw_k, gb_k), "w_v": (gw_v, gb_v),
-        "w_o": (gw_o, gb_o),
-    }
-    return gf_q + gf_k + gf_v, grads
+        g_qb[:, hs] = g_s @ kb[:, hs]
+        g_kb[:, hs] = g_s.T @ qb[:, hs]
+    return _branch_backward(_unpool(g_pooled, counts), cache["f"], params, (gw_o, gb_o))
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +247,24 @@ def select_blocks(w_blocks: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[:, :k], axis=1)
 
 
-def _gather_indices(selection_row: np.ndarray, counts: np.ndarray, starts: np.ndarray):
-    parts = [np.arange(starts[b], starts[b] + counts[b]) for b in selection_row]
-    return np.concatenate(parts)
+def _selection(n: int, w_blocks: np.ndarray, cfg: AttentionConfig, selection):
+    """Block counts of ``n`` tokens and the blocks each query block attends
+    to: ``selection`` when pinned, else the top-k of ``w_blocks``."""
+    counts = _block_counts(n, cfg.block_len)
+    n_blocks = len(counts)
+    if w_blocks.shape != (n_blocks, n_blocks):
+        raise InputError(
+            f"w_blocks shape {w_blocks.shape} does not match {n_blocks} blocks"
+        )
+    if selection is None:
+        selection = select_blocks(w_blocks, cfg.resolve_k(n_blocks))
+    return counts, selection
 
 
-def _topk_loop_fwd(q, k, v, selection, counts, cfg, want_cache):
-    """Reference path: one python iteration per query block. Handles ragged
-    final blocks; used for small inputs and for gradient caches."""
-    n = q.shape[0]
+def _topk_loop_fwd(q, k, v, selection, counts, cfg):
+    """Reference path: one python iteration per query block, keeping each
+    block's softmax. It builds the gradient cache and is the oracle the
+    chunked kernel is checked against."""
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     slices, dh = _head_slices(cfg)
     scale = dh ** -0.5  # python float: keeps float32 inputs in float32
@@ -266,7 +272,8 @@ def _topk_loop_fwd(q, k, v, selection, counts, cfg, want_cache):
     blocks = []
     for i in range(len(counts)):
         rows = slice(int(starts[i]), int(starts[i] + counts[i]))
-        idx = _gather_indices(selection[i], counts, starts)
+        idx = np.concatenate([np.arange(starts[b], starts[b] + counts[b])
+                              for b in selection[i]])
         ks, vs = k[idx], v[idx]
         probs = []
         for hs in slices:
@@ -274,25 +281,30 @@ def _topk_loop_fwd(q, k, v, selection, counts, cfg, want_cache):
             p = softmax_rows(scores)
             probs.append(p)
             tok_out[rows, hs] = p @ vs[:, hs]
-        if want_cache:
-            blocks.append({"rows": rows, "idx": idx, "probs": probs})
+        blocks.append({"rows": rows, "idx": idx, "probs": probs})
     return tok_out, blocks
 
 
 def _topk_chunked(q, k, v, selection, cfg):
-    """Vectorized path for n divisible by block_len: query blocks are batched
-    in chunks sized to a fixed working-set budget.
+    """Inference kernel: query blocks are batched in chunks sized to a fixed
+    working-set budget.
+
+    A short final block is zero-padded to ``block_len`` rows: its padded key
+    columns score -inf, so the softmax gives them no weight, and its padded
+    query rows are dropped from the output.
 
     The gather/score buffers are allocated once and reused for every chunk --
     cycling hundreds of MB of fresh allocations per chunk made the matmuls
     several times slower (cold pages, broken hugepages). Keys and values are
     gathered a whole block at a time so each copied run is contiguous."""
-    n = q.shape[0]
+    n, width = q.shape
     block_len = cfg.block_len
-    n_blocks = n // block_len
+    n_blocks = -(-n // block_len)
+    pad = n_blocks * block_len - n
+    if pad:
+        q, k, v = (np.concatenate([x, np.zeros((pad, width), x.dtype)]) for x in (q, k, v))
     k_sel = selection.shape[1]
     kl = k_sel * block_len
-    width = q.shape[1]
     slices, dh = _head_slices(cfg)
     scale = dh ** -0.5  # python float: keeps float32 inputs in float32
     per_block = kl * q.dtype.itemsize * (2 * width + block_len)
@@ -302,17 +314,22 @@ def _topk_chunked(q, k, v, selection, cfg):
     ks = np.empty((chunk, kl, width), q.dtype)
     vs = np.empty((chunk, kl, width), q.dtype)
     scores = np.empty((chunk, block_len, kl), q.dtype)
-    tok_out = np.empty_like(q)
+    tok_out = np.empty((n_blocks * block_len, width), q.dtype)
     for c0 in range(0, n_blocks, chunk):
         c1 = min(c0 + chunk, n_blocks)
         m = c1 - c0
         sel = selection[c0:c1].ravel()
         np.take(k_blocks, sel, axis=0, out=ks[:m].reshape(m * k_sel, block_len, width))
         np.take(v_blocks, sel, axis=0, out=vs[:m].reshape(m * k_sel, block_len, width))
+        # (query block, slot) pairs whose gathered keys end in padding
+        padded = np.nonzero(selection[c0:c1] == n_blocks - 1) if pad else None
         qs = q[c0 * block_len : c1 * block_len].reshape(m, block_len, width)
         for hs in slices:
             s = scores[:m]
             np.matmul(qs[:, :, hs] * scale, ks[:m, :, hs].transpose(0, 2, 1), out=s)
+            if pad:
+                slots = s.reshape(m, block_len, k_sel, block_len)
+                slots[padded[0], :, padded[1], block_len - pad :] = -np.inf
             s -= s.max(axis=-1, keepdims=True)
             np.exp(s, out=s)
             s /= s.sum(axis=-1, keepdims=True)
@@ -320,40 +337,36 @@ def _topk_chunked(q, k, v, selection, cfg):
             tok_out[c0 * block_len : c1 * block_len, hs] = out_h.reshape(
                 m * block_len, -1
             )
-    return tok_out
+    return tok_out[:n]
 
 
 def topk_attention_fwd(
     f: np.ndarray,
+    qkv: np.ndarray,
     w_blocks: np.ndarray,
     params: ZFormerParams,
     cfg: AttentionConfig,
     selection: np.ndarray | None = None,
 ):
-    """Sparse branch. Each query block attends to the raw keys/values of its
-    selected blocks only; peak intermediate size is O(n * k * block_len / B),
-    never n x n. Pass ``selection`` to pin the block choice (gradient checks
-    freeze it); otherwise it is derived from ``w_blocks``."""
-    n = f.shape[0]
-    counts = _block_counts(n, cfg.block_len)
-    n_blocks = len(counts)
-    if w_blocks.shape != (n_blocks, n_blocks):
-        raise InputError(
-            f"w_blocks shape {w_blocks.shape} does not match {n_blocks} blocks"
-        )
-    if selection is None:
-        selection = select_blocks(w_blocks, cfg.resolve_k(n_blocks))
-    q = linear(f, params.w_q)
-    k = linear(f, params.w_k)
-    v = linear(f, params.w_v)
-    tok_out, blocks = _topk_loop_fwd(q, k, v, selection, counts, cfg, want_cache=True)
+    """Sparse branch over ``qkv``, the stacked projections of ``f``, with a
+    gradient cache: the per-block loop keeps every block's softmax. Returns
+    (out, cache)."""
+    counts, selection = _selection(f.shape[0], w_blocks, cfg, selection)
+    q, k, v = np.split(qkv, 3, axis=1)
+    tok_out, blocks = _topk_loop_fwd(q, k, v, selection, counts, cfg)
     out = linear(tok_out, params.w_o)
+    slices, dh = _head_slices(cfg)
     cache = {
-        "f": f, "q": q, "k": k, "v": v, "counts": counts, "blocks": blocks,
-        "tok_out": tok_out, "selection": selection, "slices": _head_slices(cfg)[0],
-        "scale": (cfg.head_width // cfg.n_heads) ** -0.5,
+        "f": f, "qkv": qkv, "blocks": blocks, "tok_out": tok_out,
+        "selection": selection, "slices": slices, "scale": dh ** -0.5,
     }
     return out, cache
+
+
+def _topk_attention(qkv, w_blocks, params, cfg, selection=None) -> np.ndarray:
+    _, selection = _selection(qkv.shape[0], w_blocks, cfg, selection)
+    tok_out = _topk_chunked(*np.split(qkv, 3, axis=1), selection, cfg)
+    return linear(tok_out, params.w_o)
 
 
 def topk_attention(
@@ -363,32 +376,19 @@ def topk_attention(
     cfg: AttentionConfig,
     selection: np.ndarray | None = None,
 ) -> np.ndarray:
-    n = f.shape[0]
-    counts = _block_counts(n, cfg.block_len)
-    n_blocks = len(counts)
-    if w_blocks.shape != (n_blocks, n_blocks):
-        raise InputError(
-            f"w_blocks shape {w_blocks.shape} does not match {n_blocks} blocks"
-        )
-    if selection is None:
-        selection = select_blocks(w_blocks, cfg.resolve_k(n_blocks))
-    q = linear(f, params.w_q)
-    k = linear(f, params.w_k)
-    v = linear(f, params.w_v)
-    if n % cfg.block_len == 0:
-        tok_out = _topk_chunked(q, k, v, selection, cfg)
-    else:
-        tok_out, _ = _topk_loop_fwd(q, k, v, selection, counts, cfg, want_cache=False)
-    return linear(tok_out, params.w_o)
+    """Sparse branch. Each query block attends to the raw keys/values of its
+    selected blocks only; peak intermediate size is O(n * k * block_len / B),
+    never n x n. Pass ``selection`` to pin the block choice (gradient checks
+    freeze it); otherwise it is derived from ``w_blocks``."""
+    return _topk_attention(linear(f, params.qkv()), w_blocks, params, cfg, selection)
 
 
 def topk_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
     """Gradient of the sparse branch with the block selection held fixed."""
-    q, k, v = cache["q"], cache["k"], cache["v"]
+    q, k, v = np.split(cache["qkv"], 3, axis=1)
     g_tok, gw_o, gb_o = linear_backward(g_out, cache["tok_out"], params.w_o)
-    g_q = np.zeros_like(q)
-    g_k = np.zeros_like(k)
-    g_v = np.zeros_like(v)
+    g_qkv = np.zeros_like(cache["qkv"])
+    g_q, g_k, g_v = np.split(g_qkv, 3, axis=1)
     for blk in cache["blocks"]:
         rows, idx = blk["rows"], blk["idx"]
         ks, vs = k[idx], v[idx]
@@ -399,15 +399,7 @@ def topk_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
             g_s = softmax_rows_backward(g_p, p) * cache["scale"]
             g_q[rows, hs] += g_s @ ks[:, hs]
             np.add.at(g_k[:, hs], idx, g_s.T @ q[rows, hs])
-    f = cache["f"]
-    gf_q, gw_q, gb_q = linear_backward(g_q, f, params.w_q)
-    gf_k, gw_k, gb_k = linear_backward(g_k, f, params.w_k)
-    gf_v, gw_v, gb_v = linear_backward(g_v, f, params.w_v)
-    grads = {
-        "w_q": (gw_q, gb_q), "w_k": (gw_k, gb_k), "w_v": (gw_v, gb_v),
-        "w_o": (gw_o, gb_o),
-    }
-    return gf_q + gf_k + gf_v, grads
+    return _branch_backward(g_qkv, cache["f"], params, (gw_o, gb_o))
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +505,9 @@ def zformer_block_fwd(rep, quantizer: Quantizer, params: ZFormerParams,
     """
     rep_s, codes, perm = sort_by_code(rep, quantizer)
     f = rep_s.features
-    grp_out, w_blocks, c_grp = group_attention_fwd(f, params, cfg)
-    sel_out, c_sel = topk_attention_fwd(f, w_blocks, params, cfg, selection)
+    qkv = linear(f, params.qkv())
+    grp_out, w_blocks, c_grp = group_attention_fwd(f, qkv, params, cfg)
+    sel_out, c_sel = topk_attention_fwd(f, qkv, w_blocks, params, cfg, selection)
     fused, c_fuse = gated_fuse_fwd(f, grp_out, sel_out, params)
     f_new = f + fused
     rep_mid = rep_s.with_features(f_new)
@@ -531,8 +524,9 @@ def zformer_block(rep, quantizer, params, cfg):
     take its chunked path and memory stays proportional to n·k·L, not n²."""
     rep_s, codes, _ = sort_by_code(rep, quantizer)
     f = rep_s.features
-    grp_out, w_blocks = group_attention(f, params, cfg)
-    sel_out = topk_attention(f, w_blocks, params, cfg)
+    qkv = linear(f, params.qkv())
+    grp_out, w_blocks, _ = group_attention_fwd(f, qkv, params, cfg)
+    sel_out = _topk_attention(qkv, w_blocks, params, cfg)
     fused = gated_fuse(f, grp_out, sel_out, params)
     rep_mid = rep_s.with_features(f + fused)
     return zorder_pool(rep_mid, codes, cfg.pool_levels, params, quantizer, cfg)

@@ -172,6 +172,17 @@ def test_missing_scene_dir_exits_2(tmp_path):
                  "--max-views", "1"]) == 2
 
 
+def test_hostile_scene_files_exit_2(tmp_path):
+    scene = _gen(tmp_path, views=1)
+    os.makedirs(scene / "view_x")
+    assert main(["select-views", "--scene", str(scene), "--max-views", "1"]) == 2
+    os.rmdir(scene / "view_x")
+    (scene / "view_0" / "depth.tns").write_bytes(
+        b'{"dtype": "f32", "shape": [4294967296, 4294967296]}\n'
+    )
+    assert main(["select-views", "--scene", str(scene), "--max-views", "1"]) == 2
+
+
 def test_malformed_scene_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

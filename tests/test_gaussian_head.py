@@ -7,6 +7,7 @@ from gradutil import grads_to_vec, layer_to_vec, vec_to_layer
 from zsplat import gaussian_head as gh
 from zsplat.errors import InputError
 from zsplat.numerics import grad_check, uniform01
+from zsplat.pipeline import LevelOutput, ModelParams, predict_levels
 from zsplat.scene import PointRepresentation
 
 
@@ -96,12 +97,16 @@ def test_head_is_width_configurable():
 
 def test_multilevel_shares_weights_and_is_levelwise_identical():
     rep = _rep(40, 8, seed=31)
-    params = gh.HeadParams.init(8, 16, seed=13)
-    g1, g2 = gh.predict_multilevel(rep, rep, params, offset_scales=(0.5, 0.5))
+    model = ModelParams(blocks=(), head=gh.HeadParams.init(8, 16, seed=13))
+
+    def levels(*offset_scales):
+        return [LevelOutput(rep, None, None, s) for s in offset_scales]
+
+    g1, g2 = predict_levels(levels(0.5, 0.5), model)
     assert np.array_equal(g1.centers, g2.centers)
     assert np.array_equal(g1.sh, g2.sh)
     # different offset scales move centers only
-    g1b, g2b = gh.predict_multilevel(rep, rep, params, offset_scales=(0.5, 1.0))
+    g1b, g2b = predict_levels(levels(0.5, 1.0), model)
     assert not np.array_equal(g1b.centers, g2b.centers)
     assert np.array_equal(g1b.sh, g2b.sh)
 

@@ -224,6 +224,14 @@ def test_tensor_container_format_errors_carry_offsets(tmp_path):
     assert err.value.offset == 0
 
 
+def test_tensor_container_rejects_shape_whose_int64_product_wraps(tmp_path):
+    # 2**32 * 2**32 is 0 in int64, which an empty payload would match
+    path = tmp_path / "huge.tns"
+    path.write_bytes(b'{"dtype": "f32", "shape": [4294967296, 4294967296]}\n')
+    with pytest.raises(FormatError, match="0 bytes"):
+        scene.read_tensor(path)
+
+
 # ---------------------------------------------------------------------------
 # gaussian PLY
 
@@ -313,6 +321,15 @@ def test_ply_read_rejects_foreign_layout(tmp_path):
         scene.read_gaussians_ply(path)
 
 
+def test_ply_read_rejects_non_numeric_vertex_count(tmp_path):
+    good = tmp_path / "g.ply"
+    scene.write_gaussians_ply(good, _valid_gaussians(2))
+    path = tmp_path / "x.ply"
+    path.write_bytes(good.read_bytes().replace(b"element vertex 2", b"element vertex abc"))
+    with pytest.raises(FormatError, match="vertex count"):
+        scene.read_gaussians_ply(path)
+
+
 # ---------------------------------------------------------------------------
 # scene directories
 
@@ -344,3 +361,11 @@ def test_load_scene_dir_requires_views(tmp_path):
     os.makedirs(tmp_path / "empty")
     with pytest.raises(InputError):
         scene.load_scene_dir(tmp_path / "empty")
+
+
+def test_load_scene_dir_rejects_non_numeric_view_name(tmp_path):
+    views = synthetic.generate_scene({"resolution": [4, 4], "n_views": 1})
+    scene.write_scene_dir(tmp_path / "scene", views)
+    os.makedirs(tmp_path / "scene" / "view_x")
+    with pytest.raises(InputError, match="view_x"):
+        scene.load_scene_dir(tmp_path / "scene")

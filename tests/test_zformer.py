@@ -102,21 +102,27 @@ def test_topk_partial_selection_matches_gather_reference():
     assert np.abs(got - want).max() < 1e-5
 
 
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("n", [256, 250, 225])  # 225 leaves a one-row final block
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
-def test_topk_chunked_path_matches_loop_path(dtype, tol):
-    cfg = zformer.AttentionConfig(block_len=32, select_k=4, model_width=16, head_width=8)
+def test_topk_chunked_path_matches_loop_path(dtype, tol, n, n_heads):
+    cfg = zformer.AttentionConfig(
+        block_len=32, select_k=4, model_width=16, head_width=8, n_heads=n_heads
+    )
     params = _params(cfg).astype(dtype)
-    f = _features(256, 16, seed=61, dtype=dtype)
+    f = _features(n, 16, seed=61, dtype=dtype)
     from zsplat.numerics import linear
 
-    q = linear(f, params.w_q)
-    k = linear(f, params.w_k)
-    v = linear(f, params.w_v)
+    q, k, v = np.split(linear(f, params.qkv()), 3, axis=1)
     _, w_blocks = zformer.group_attention(f, params, cfg)
+    # every even query block also attends to the last block, ragged or not
+    w_blocks[::2, -1] += 1.0
     selection = zformer.select_blocks(w_blocks, 4)
-    counts = zformer._block_counts(256, 32)
+    assert (selection[::2] == selection.shape[0] - 1).any(axis=1).all()
+    counts = zformer._block_counts(n, 32)
     chunked = zformer._topk_chunked(q, k, v, selection, cfg)
-    loop, _ = zformer._topk_loop_fwd(q, k, v, selection, counts, cfg, want_cache=False)
+    loop, _ = zformer._topk_loop_fwd(q, k, v, selection, counts, cfg)
+    assert chunked.shape == loop.shape == (n, 8)
     assert np.abs(chunked.astype(np.float64) - loop.astype(np.float64)).max() < tol
 
 
