@@ -1,30 +1,33 @@
 """Greedy max-coverage selection of informative views.
 
-Each candidate view covers a set of coarse grid cells (Morton codes of its
-unprojected depth points). Selection maximizes the number of distinct cells
-covered by at most ``max_views`` views with the classic lazy-free greedy:
-a max-heap keyed by marginal gain, rebuilt in full after every acceptance
-with zero-gain candidates dropped. Ties prefer the lower candidate index.
-The greedy solution covers at least a (1 - 1/e) fraction of the optimum.
-"""
+Each candidate view covers a sorted array of distinct coarse grid cells
+(Morton codes of its unprojected depth points). The plain greedy picks at
+most ``max_views`` views, each time the one adding the most uncovered cells,
+ties to the lower candidate index; it covers at least a (1 - 1/e) fraction of
+the optimum."""
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .morton import Quantizer, encode_array
+from .morton import Quantizer
 
 
 @dataclass(frozen=True)
 class ViewCandidate:
-    """A selectable view: caller-assigned index plus covered cell keys."""
+    """A selectable view: caller-assigned index plus covered cell keys. Any
+    iterable of keys is normalized to a sorted array of distinct keys."""
 
     index: int
-    coverage_keys: frozenset = field(default_factory=frozenset)
+    coverage_keys: np.ndarray = ()
+
+    def __post_init__(self):
+        keys = self.coverage_keys
+        keys = keys if isinstance(keys, np.ndarray) else list(keys)
+        object.__setattr__(self, "coverage_keys", np.unique(keys))
 
 
 @dataclass(frozen=True)
@@ -54,19 +57,25 @@ def build_candidates(point_sets, quantizer: Quantizer, indices=None):
     cells of ``quantizer``. ``indices`` defaults to 0..len-1."""
     if indices is None:
         indices = range(len(point_sets))
-    candidates = []
-    for idx, points in zip(indices, point_sets):
-        points = np.asarray(points, dtype=np.float64)
-        if points.size == 0:
-            keys = frozenset()
-        else:
-            codes = encode_array(quantizer.quantize(points), quantizer.depth)
-            keys = frozenset(int(c) for c in np.unique(codes))
-        candidates.append(ViewCandidate(int(idx), keys))
-    return candidates
+    if len(indices) != len(point_sets):
+        raise InputError(f"{len(indices)} indices for {len(point_sets)} point sets")
+    points = [np.asarray(p, dtype=np.float64) for p in point_sets]
+    points = [p.reshape(0, 3) if p.size == 0 else p for p in points]
+    if any(p.ndim != 2 or p.shape[1] != 3 for p in points):
+        raise InputError("each point set must be an (n, 3) array")
+    if not points:
+        return []
+    # one quantize/encode pass over every view, split back per view
+    codes = quantizer.encode_points(np.concatenate(points))
+    parts = np.split(codes, np.cumsum([len(p) for p in points])[:-1])
+    return [ViewCandidate(int(i), keys) for i, keys in zip(indices, parts)]
 
 
-def _check_candidates(candidates) -> dict:
+def _check_candidates(candidates, max_views: int, min_gain: int) -> dict:
+    if max_views < 0:
+        raise InputError(f"max_views must be >= 0, got {max_views}")
+    if min_gain < 0:
+        raise InputError(f"min_gain must be >= 0, got {min_gain}")
     by_index = {}
     for cand in candidates:
         if cand.index in by_index:
@@ -76,60 +85,50 @@ def _check_candidates(candidates) -> dict:
 
 
 def select(candidates, max_views: int, min_gain: int = 0) -> SelectionResult:
-    """Heap-driven greedy max coverage.
-
-    The heap holds (-gain, index); after each acceptance it is rebuilt with
-    gains recomputed against the enlarged cover and candidates whose gain
-    fell to ``min_gain`` or below removed. Stops when ``max_views`` views are
-    chosen or no candidate adds anything.
-    """
-    if max_views < 0:
-        raise InputError(f"max_views must be >= 0, got {max_views}")
-    by_index = _check_candidates(candidates)
-    covered: set = set()
-    selected: list = []
-    gains: list = []
-    heap = [(-len(c.coverage_keys), c.index) for c in candidates]
-    heapq.heapify(heap)
-    while heap and len(selected) < max_views:
-        _, idx = heapq.heappop(heap)
-        cand = by_index[idx]
-        fresh = cand.coverage_keys - covered
-        if len(fresh) <= min_gain:
-            continue
-        selected.append(idx)
-        gains.append(len(fresh))
-        covered |= fresh
-        remaining = [i for (_, i) in heap]
-        heap = []
-        for i in remaining:
-            gain = len(by_index[i].coverage_keys - covered)
-            if gain > min_gain:
-                heap.append((-gain, i))
-        heapq.heapify(heap)
-    return SelectionResult(tuple(selected), len(covered), tuple(gains))
+    """Array greedy max coverage: keys become dense cell ids, ``owner`` maps
+    each id entry to its candidate (ascending index), and a pick's gains are
+    one ``np.bincount`` of the still-uncovered entries per owner; ``argmax``
+    keeps the lowest index among equal gains. Stops after ``max_views`` picks
+    or when the best gain is ``min_gain`` or below."""
+    by_index = _check_candidates(candidates, max_views, min_gain)
+    order = sorted(by_index)
+    keys = [by_index[i].coverage_keys for i in order]
+    nonempty = [k for k in keys if len(k)]  # () is float64; mixed in, it casts keys
+    if not nonempty:
+        return SelectionResult((), 0, ())
+    cells, cell = np.unique(np.concatenate(nonempty), return_inverse=True)
+    owner = np.repeat(np.arange(len(order)), [len(k) for k in keys])
+    covered = np.zeros(len(cells), dtype=bool)
+    selected, gains = [], []
+    while len(selected) < max_views:
+        gain = np.bincount(owner, weights=~covered[cell], minlength=len(order))
+        best = int(np.argmax(gain))
+        if gain[best] <= min_gain:
+            break
+        selected.append(order[best])
+        gains.append(int(gain[best]))
+        covered[cell[owner == best]] = True
+    return SelectionResult(tuple(selected), int(covered.sum()), tuple(gains))
 
 
 def naive_greedy(candidates, max_views: int, min_gain: int = 0) -> SelectionResult:
-    """Rescan-everything greedy; same tie rule, used as the selection oracle."""
-    if max_views < 0:
-        raise InputError(f"max_views must be >= 0, got {max_views}")
-    by_index = _check_candidates(candidates)
+    """Rescan-everything greedy on Python sets: the selection oracle."""
+    by_index = _check_candidates(candidates, max_views, min_gain)
     order = sorted(by_index)
+    cover = {idx: set(by_index[idx].coverage_keys.tolist()) for idx in order}
     covered: set = set()
-    selected: list = []
-    gains: list = []
+    selected, gains = [], []
     while len(selected) < max_views:
         best_idx, best_gain = None, min_gain
         for idx in order:
             if idx in selected:
                 continue
-            gain = len(by_index[idx].coverage_keys - covered)
+            gain = len(cover[idx] - covered)
             if gain > best_gain:
                 best_idx, best_gain = idx, gain
         if best_idx is None:
             break
         selected.append(best_idx)
         gains.append(best_gain)
-        covered |= by_index[best_idx].coverage_keys
+        covered |= cover[best_idx]
     return SelectionResult(tuple(selected), len(covered), tuple(gains))

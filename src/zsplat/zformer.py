@@ -257,7 +257,17 @@ def _selection(n: int, w_blocks: np.ndarray, cfg: AttentionConfig, selection):
             f"w_blocks shape {w_blocks.shape} does not match {n_blocks} blocks"
         )
     if selection is None:
-        selection = select_blocks(w_blocks, cfg.resolve_k(n_blocks))
+        return counts, select_blocks(w_blocks, cfg.resolve_k(n_blocks))
+    selection = np.asarray(selection)
+    shape = selection.shape
+    if len(shape) != 2 or shape[0] != n_blocks or not 1 <= shape[1] <= n_blocks:
+        raise InputError(
+            f"selection shape {shape} is not ({n_blocks}, k), 1 <= k <= {n_blocks}"
+        )
+    if not np.issubdtype(selection.dtype, np.integer):
+        raise InputError(f"selection holds {selection.dtype}, not integer block ids")
+    if selection.min() < 0 or selection.max() >= n_blocks:
+        raise RangeError(f"selection block ids must lie in [0, {n_blocks})")
     return counts, selection
 
 

@@ -205,7 +205,7 @@ def test_criterion_4_pooling_partition_matches_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# 5. heap-accelerated greedy selection is the textbook greedy
+# 5. array greedy selection is the textbook greedy
 
 
 def _coverage_instance(seed):

@@ -115,6 +115,12 @@ def test_select_views_writes_selection_json(tmp_path, capsys):
     assert "selected views:" in printed
 
 
+def test_select_views_negative_min_gain_exits_2(tmp_path):
+    scene = _gen(tmp_path, views=2)
+    assert main(["select-views", "--scene", str(scene), "--max-views", "2",
+                 "--min-gain", "-1"]) == 2
+
+
 def test_verify_passes_and_prints_per_check_lines(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

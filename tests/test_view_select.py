@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from zsplat.errors import InputError
 from zsplat.morton import Quantizer
-from zsplat.numerics import splitmix64
+from zsplat.numerics import splitmix64, uniform01
 from zsplat import view_select as vs
 
 
@@ -67,6 +67,15 @@ def test_duplicate_candidate_indices_rejected():
         vs.select(cands, max_views=1)
 
 
+@pytest.mark.parametrize("greedy", [vs.select, vs.naive_greedy])
+def test_negative_budget_or_min_gain_rejected(greedy):
+    cands = _candidates([{1}, {2}])
+    with pytest.raises(InputError):
+        greedy(cands, max_views=-1)
+    with pytest.raises(InputError):
+        greedy(cands, max_views=2, min_gain=-1)
+
+
 def _random_instance(seed, n_sets, universe, max_size):
     words = splitmix64(seed, n_sets * max_size)
     sets = []
@@ -116,7 +125,8 @@ def test_build_candidates_quantizes_points_per_view():
     assert len(cands[0].coverage_keys) == 2
     assert len(cands[1].coverage_keys) == 2
     # the (3,0,0) cell is shared between views
-    assert cands[0].coverage_keys & cands[1].coverage_keys
+    shared = np.intersect1d(cands[0].coverage_keys, cands[1].coverage_keys)
+    assert np.isin(q.encode_points(np.array([3.5, 0.0, 0.0])), shared).all()
 
 
 def test_build_candidates_with_explicit_indices():
@@ -126,6 +136,42 @@ def test_build_candidates_with_explicit_indices():
     assert [c.index for c in cands] == [10, 20]
     result = vs.select(cands, max_views=2)
     assert result.selected == (10,)  # second view adds nothing
+
+
+def test_build_candidates_rejects_malformed_input():
+    q = Quantizer(origin=np.zeros(3), cell=1.0, depth=4)
+    pts = np.array([[0.5, 0.5, 0.5]])
+    with pytest.raises(InputError):
+        vs.build_candidates([pts, pts], q, indices=[5])
+    with pytest.raises(InputError):
+        vs.build_candidates([pts, np.zeros((2, 2))], q)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**62),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from([0.0, 2.0**21 - 8]),
+)
+@settings(max_examples=100, deadline=None)
+def test_selection_on_built_candidates_matches_oracle(seed, n_views, budget, offset):
+    # offset 2^21 - 8 puts every cell near the top of a depth-21 grid, so the
+    # Morton codes exceed 2^53 and would collide if cast to float64
+    q = Quantizer(origin=np.full(3, -offset), cell=1.0, depth=21)
+    sizes = splitmix64(seed, n_views) % 24
+    points = [uniform01(seed + 1 + i, 3 * int(s)).reshape(-1, 3) * 4
+              for i, s in enumerate(sizes)]
+    points.append(np.empty((0, 3)))  # a view that sees nothing
+    points.append(points[0][: len(points[0]) // 2])  # cells inside view 0's
+    cands = vs.build_candidates(points, q)
+    assert len(cands[n_views].coverage_keys) == 0
+    fast = vs.select(cands, max_views=budget)
+    slow = vs.naive_greedy(cands, max_views=budget)
+    assert fast == slow
+    # the CLI json.dumps the result, so it must hold Python ints
+    assert all(type(x) is int
+               for x in (*fast.selected, fast.covered, *fast.marginal_gains))
+    fast.validate()
 
 
 def test_coarse_quantizer_merges_coverage():

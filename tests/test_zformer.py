@@ -9,7 +9,7 @@ from gradutil import grads_to_vec, layer_to_vec, vec_to_layer
 from zsplat import reference, zformer
 from zsplat.errors import ConfigError, InputError, RangeError
 from zsplat.morton import Quantizer, sort_by_code
-from zsplat.numerics import LinearLayer, grad_check, uniform01
+from zsplat.numerics import LinearLayer, grad_check, linear, uniform01
 from zsplat.scene import PointRepresentation
 
 
@@ -157,6 +157,30 @@ def test_select_blocks_rejects_bad_k():
         zformer.select_blocks(w, 0)
     with pytest.raises(RangeError):
         zformer.select_blocks(w, 4)
+
+
+def test_pinned_selection_is_validated():
+    cfg = zformer.AttentionConfig(block_len=8, select_k=3, model_width=12, head_width=8)
+    params = _params(cfg)
+    f = _features(64, 12, seed=91)
+    qkv = linear(f, params.qkv())
+    _, w_blocks = zformer.group_attention(f, params, cfg)
+    selection = zformer.select_blocks(w_blocks, 3)
+    pinned = zformer.topk_attention(f, w_blocks, params, cfg, selection=selection)
+    assert np.array_equal(pinned, zformer.topk_attention(f, w_blocks, params, cfg))
+    for bad, error in [
+        (selection + 8, RangeError),
+        (selection - 1, RangeError),
+        (selection[:-2], InputError),
+        (selection[:, :0], InputError),
+        (np.zeros((8, 9), np.int64), InputError),
+        (selection[0], InputError),
+        (selection.astype(np.float64), InputError),
+    ]:
+        with pytest.raises(error):
+            zformer.topk_attention(f, w_blocks, params, cfg, selection=bad)
+        with pytest.raises(error):
+            zformer.topk_attention_fwd(f, qkv, w_blocks, params, cfg, selection=bad)
 
 
 def test_resolve_k_half_rule():
