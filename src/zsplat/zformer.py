@@ -38,8 +38,10 @@ from .numerics import (
     softmax_rows_backward,
 )
 
-# working-set budget (bytes) for the chunked top-k path
-_CHUNK_BYTES = 3.2e8
+# bytes of gathered keys, values and scores per top-k chunk: about half of
+# one core's 2 MB L2, so a chunk's tiles stay in cache from the gather through
+# both products and the softmax (see _topk_chunked)
+_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -237,14 +239,22 @@ def group_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
 def select_blocks(w_blocks: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k blocks each query block attends to, rows sorted
     ascending. A block's own index is always included; remaining slots take
-    the highest-affinity blocks, ties resolved toward the lower index."""
+    the highest-affinity blocks, ties resolved toward the lower index.
+
+    Each row keeps every entry above its k-th largest value, then the
+    lowest-index entries equal to it; one partition finds that value, so no
+    row is fully sorted. A NaN ranks as -inf."""
     n_blocks = w_blocks.shape[0]
     if not 1 <= k <= n_blocks:
         raise RangeError(f"k must be in [1, {n_blocks}], got {k}")
-    ranked = np.array(w_blocks, dtype=np.float64, copy=True)
+    ranked = np.fmax(w_blocks, -np.inf, dtype=np.promote_types(w_blocks.dtype, np.float32))
     np.fill_diagonal(ranked, np.inf)
-    order = np.argsort(-ranked, axis=1, kind="stable")
-    return np.sort(order[:, :k], axis=1)
+    kth = np.partition(ranked, n_blocks - k, axis=1)[:, n_blocks - k, None]
+    above = ranked > kth
+    tied = ranked == kth
+    room = k - above.sum(axis=1, keepdims=True)
+    keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    return np.nonzero(keep)[1].reshape(n_blocks, k)
 
 
 def _selection(n: int, w_blocks: np.ndarray, cfg: AttentionConfig, selection):
@@ -296,35 +306,39 @@ def _topk_loop_fwd(q, k, v, selection, counts, cfg):
 
 
 def _topk_chunked(q, k, v, selection, cfg):
-    """Inference kernel: query blocks are batched in chunks sized to a fixed
-    working-set budget.
+    """Inference kernel: query blocks are batched in chunks whose gathered
+    keys, values and scores fit in ``_CHUNK_BYTES``, about one core's L2.
 
-    A short final block is zero-padded to ``block_len`` rows: its padded key
-    columns score -inf, so the softmax gives them no weight, and its padded
-    query rows are dropped from the output.
+    q, k and v arrive as strided column views of the stacked projection; they
+    are copied once into contiguous block arrays, zero-padded to whole blocks,
+    so every gathered key/value block is one contiguous run, and q is scaled
+    once. A padded final block's key columns score -inf, so the softmax gives
+    them no weight, and its padded query rows are dropped from the output.
 
-    The gather/score buffers are allocated once and reused for every chunk --
-    cycling hundreds of MB of fresh allocations per chunk made the matmuls
-    several times slower (cold pages, broken hugepages). Keys and values are
-    gathered a whole block at a time so each copied run is contiguous."""
+    The gather/score buffers are allocated once and reused for every chunk,
+    and each chunk's products are written straight into the output. A chunk
+    sized to the cache keeps the gathered tiles in L2 from the gather through
+    the two products and the softmax, instead of streaming every pass through
+    memory."""
     n, width = q.shape
     block_len = cfg.block_len
     n_blocks = -(-n // block_len)
     pad = n_blocks * block_len - n
-    if pad:
-        q, k, v = (np.concatenate([x, np.zeros((pad, width), x.dtype)]) for x in (q, k, v))
-    k_sel = selection.shape[1]
-    kl = k_sel * block_len
     slices, dh = _head_slices(cfg)
     scale = dh ** -0.5  # python float: keeps float32 inputs in float32
+    q_blocks, k_blocks, v_blocks = (
+        np.pad(x, ((0, pad), (0, 0))).reshape(n_blocks, block_len, width)
+        for x in (q, k, v)
+    )
+    q_blocks *= scale
+    k_sel = selection.shape[1]
+    kl = k_sel * block_len
     per_block = kl * q.dtype.itemsize * (2 * width + block_len)
     chunk = max(1, min(n_blocks, int(_CHUNK_BYTES / max(per_block, 1))))
-    k_blocks = k.reshape(n_blocks, block_len, width)
-    v_blocks = v.reshape(n_blocks, block_len, width)
     ks = np.empty((chunk, kl, width), q.dtype)
     vs = np.empty((chunk, kl, width), q.dtype)
     scores = np.empty((chunk, block_len, kl), q.dtype)
-    tok_out = np.empty((n_blocks * block_len, width), q.dtype)
+    out = np.empty((n_blocks, block_len, width), q.dtype)
     for c0 in range(0, n_blocks, chunk):
         c1 = min(c0 + chunk, n_blocks)
         m = c1 - c0
@@ -333,21 +347,17 @@ def _topk_chunked(q, k, v, selection, cfg):
         np.take(v_blocks, sel, axis=0, out=vs[:m].reshape(m * k_sel, block_len, width))
         # (query block, slot) pairs whose gathered keys end in padding
         padded = np.nonzero(selection[c0:c1] == n_blocks - 1) if pad else None
-        qs = q[c0 * block_len : c1 * block_len].reshape(m, block_len, width)
+        s = scores[:m]
         for hs in slices:
-            s = scores[:m]
-            np.matmul(qs[:, :, hs] * scale, ks[:m, :, hs].transpose(0, 2, 1), out=s)
+            np.matmul(q_blocks[c0:c1, :, hs], ks[:m, :, hs].transpose(0, 2, 1), out=s)
             if pad:
                 slots = s.reshape(m, block_len, k_sel, block_len)
                 slots[padded[0], :, padded[1], block_len - pad :] = -np.inf
             s -= s.max(axis=-1, keepdims=True)
             np.exp(s, out=s)
             s /= s.sum(axis=-1, keepdims=True)
-            out_h = np.matmul(s, vs[:m, :, hs])
-            tok_out[c0 * block_len : c1 * block_len, hs] = out_h.reshape(
-                m * block_len, -1
-            )
-    return tok_out[:n]
+            np.matmul(s, vs[:m, :, hs], out=out[c0:c1, :, hs])
+    return out.reshape(-1, width)[:n]
 
 
 def topk_attention_fwd(

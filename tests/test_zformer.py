@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gradutil import grads_to_vec, layer_to_vec, vec_to_layer
 from zsplat import reference, zformer
@@ -102,17 +104,12 @@ def test_topk_partial_selection_matches_gather_reference():
     assert np.abs(got - want).max() < 1e-5
 
 
-@pytest.mark.parametrize("n_heads", [1, 2])
-@pytest.mark.parametrize("n", [256, 250, 225])  # 225 leaves a one-row final block
-@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
-def test_topk_chunked_path_matches_loop_path(dtype, tol, n, n_heads):
+def _assert_chunked_matches_loop(dtype, tol, n, n_heads):
     cfg = zformer.AttentionConfig(
         block_len=32, select_k=4, model_width=16, head_width=8, n_heads=n_heads
     )
     params = _params(cfg).astype(dtype)
     f = _features(n, 16, seed=61, dtype=dtype)
-    from zsplat.numerics import linear
-
     q, k, v = np.split(linear(f, params.qkv()), 3, axis=1)
     _, w_blocks = zformer.group_attention(f, params, cfg)
     # every even query block also attends to the last block, ragged or not
@@ -124,6 +121,42 @@ def test_topk_chunked_path_matches_loop_path(dtype, tol, n, n_heads):
     loop, _ = zformer._topk_loop_fwd(q, k, v, selection, counts, cfg)
     assert chunked.shape == loop.shape == (n, 8)
     assert np.abs(chunked.astype(np.float64) - loop.astype(np.float64)).max() < tol
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("n", [256, 250, 225])  # 225 leaves a one-row final block
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
+def test_topk_chunked_path_matches_loop_path(dtype, tol, n, n_heads):
+    _assert_chunked_matches_loop(dtype, tol, n, n_heads)
+
+
+@pytest.mark.parametrize("chunk_blocks", [1, 3])
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("n", [256, 225])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
+def test_topk_chunked_matches_loop_across_chunks(monkeypatch, dtype, tol, n, n_heads,
+                                                 chunk_blocks):
+    # a budget of chunk_blocks query blocks (gathered keys, values and scores
+    # of k=4 blocks of 32 rows, width 8): the 8 blocks run as 3 + 3 + 2 or one
+    # at a time, and query block 0, in the first chunk, selects the last block
+    per_block = 4 * 32 * np.dtype(dtype).itemsize * (2 * 8 + 32)
+    monkeypatch.setattr(zformer, "_CHUNK_BYTES", chunk_blocks * per_block)
+    _assert_chunked_matches_loop(dtype, tol, n, n_heads)
+
+
+def test_topk_chunked_working_set_is_cache_sized():
+    # the dense-k benchmark's first level: 128 blocks of 32, half selected
+    n, width = 4096, 32
+    cfg = zformer.AttentionConfig(block_len=32, model_width=width, head_width=width)
+    q, k, v = np.split(_features(n, 3 * width, seed=65), 3, axis=1)
+    selection = zformer.select_blocks(uniform01(66, 128 * 128).reshape(128, 128), 64)
+    tracemalloc.start()
+    try:
+        zformer._topk_chunked(q, k, v, selection, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"top-k kernel peak allocation {peak / 1e6:.1f} MB"
 
 
 def test_multi_head_group_differs_from_single_head_but_same_shape():
@@ -149,6 +182,29 @@ def test_select_blocks_forces_own_block_and_breaks_ties_low():
     w = np.array([[0.1, 0.2, 0.3, 0.4]] * 4)
     sel = zformer.select_blocks(w, 2)
     assert sel.tolist() == [[0, 3], [1, 3], [2, 3], [2, 3]]
+
+
+def _select_blocks_oracle(w, k):
+    ranked = np.array(w, dtype=np.float64, copy=True)
+    np.fill_diagonal(ranked, np.inf)
+    return np.sort(np.argsort(-ranked, axis=1, kind="stable")[:, :k], axis=1)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_select_blocks_matches_stable_sort_oracle(data):
+    n_blocks = data.draw(st.integers(min_value=1, max_value=24), label="n_blocks")
+    k = data.draw(st.sampled_from([1, n_blocks, -(-n_blocks // 2)])
+                  | st.integers(min_value=1, max_value=n_blocks), label="k")
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    shape = (n_blocks, n_blocks)
+    # a handful of values (NaN among them) gives rows with many ties
+    tied = st.sampled_from([0.0, 0.125, 0.5, 1.0, float("nan")])
+    w = data.draw(arrays(dtype, shape, elements=tied)
+                  | arrays(dtype, shape, elements=st.floats(0.0, 1.0, width=32)), label="w")
+    got = zformer.select_blocks(w, k)
+    assert np.issubdtype(got.dtype, np.integer)
+    assert np.array_equal(got, _select_blocks_oracle(w, k))
 
 
 def test_select_blocks_rejects_bad_k():
