@@ -5,10 +5,30 @@ rejected rather than ignored so config typos fail loudly."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 from .errors import ConfigError
 from .zformer import AttentionConfig
+
+# accepted value types per field annotation
+_FIELD_TYPES = {
+    "int": (Integral, "an integer"),
+    "str": (str, "a string"),
+    "float | None": ((Real, type(None)), "a finite number or null"),
+    "tuple | None": ((tuple, list, type(None)), "3 finite numbers or null"),
+}
+
+
+def _is_number(value) -> bool:
+    """A real number, not a bool, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -29,6 +49,11 @@ class RunConfig:
     offset_scale: float | None = None  # None = 2 coarse cells per level
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, what = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not isinstance(value, kind) or isinstance(value, Real) and not _is_number(value):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.n_blocks < 1:
             raise ConfigError(f"n_blocks must be >= 1, got {self.n_blocks}")
         if not 1 <= self.serialize_depth <= 21:
@@ -45,10 +70,9 @@ class RunConfig:
         if self.cell is not None and self.cell <= 0:
             raise ConfigError(f"cell must be positive, got {self.cell}")
         if self.origin is not None:
-            origin = tuple(float(v) for v in self.origin)
-            if len(origin) != 3:
-                raise ConfigError(f"origin must have 3 components, got {len(origin)}")
-            object.__setattr__(self, "origin", origin)
+            if len(self.origin) != 3 or not all(map(_is_number, self.origin)):
+                raise ConfigError(f"origin must be 3 finite numbers, got {self.origin!r}")
+            object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         # delegate attention-shape validation
         self.attention_config()
 
@@ -76,7 +100,7 @@ class RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")

@@ -15,6 +15,10 @@ The SH seed places (color - 0.5) / C0 in the three DC slots (C0 the constant
 zeroth SH basis value), zeros elsewhere, so a zero-weight head reproduces the
 input color exactly under SH evaluation. The same head weights serve every
 pooling level.
+
+The MLP runs in the features' dtype (float32 at inference, colors cast to
+it); the decode runs in float64, so the SH seed and centers take the input
+colors and positions exactly.
 """
 
 from __future__ import annotations
@@ -158,9 +162,7 @@ def predict_fwd(rep, params: HeadParams, offset_scale: float = 1.0):
             f"representation feature width {rep.feature_width} != head width "
             f"{params.feature_width}"
         )
-    x = np.concatenate(
-        [np.asarray(rep.features, dtype=np.float64), rep.colors], axis=1
-    )
+    x = np.concatenate([rep.features, rep.colors], axis=1, dtype=rep.features.dtype)
     pre = linear(x, params.hidden)
     act = gelu(pre)
     raw = linear(act, params.output)

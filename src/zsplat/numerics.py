@@ -1,11 +1,12 @@
 """Dense linear algebra, activations, deterministic initialization, and a
 finite-difference gradient oracle.
 
-Matrices are plain 2-D numpy arrays (row-major). Production paths run in
-float32. Linear layers (``matmul``, ``linear``) accumulate in float64 whatever
-the storage dtype; attention score and value products (the group scores and
-the top-k kernel in ``zformer``) do not, and accumulate in the storage dtype.
-Gradient-oracle paths run in float64 end to end.
+Matrices are plain 2-D numpy arrays (row-major). One precision rule holds
+everywhere: a product accumulates in its operands' dtype. Inference runs in
+float32 (linear layers, attention scores and values, activations); callers
+that pass float64 operands, the reference implementations and the gradient
+oracles, get float64 end to end. Constants are python floats, which take the
+array's dtype instead of promoting it.
 
 Random initialization uses SplitMix64, fixed here by constant: output i of a
 stream seeded with ``s`` is ``mix64(s + (i+1) * 0x9E3779B97F4A7C15)`` where
@@ -16,6 +17,7 @@ bit-identical parameters everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +30,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
@@ -52,18 +54,6 @@ def derive_seed(seed: int, label: str) -> int:
     for b in label.encode("utf-8"):
         h = ((h ^ b) * 0x100000001B3) & _MASK64
     return int(splitmix64(seed ^ h, 1)[0])
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with float64 accumulation, cast back to the input dtype."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
-    return out.astype(np.result_type(a, b), copy=False)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -165,12 +155,12 @@ def init_linear(n_in: int, n_out: int, seed: int) -> LinearLayer:
 def linear(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
     if x.shape[-1] != layer.in_width:
         raise ShapeError(f"linear input width {x.shape[-1]} != layer width {layer.in_width}")
-    return matmul(x, layer.weight.T) + layer.bias
+    return x @ layer.weight.T + layer.bias
 
 
 def linear_backward(grad: np.ndarray, x: np.ndarray, layer: LinearLayer):
     """Returns (d_input, d_weight, d_bias) for y = x @ W.T + b."""
-    gx = matmul(grad, layer.weight)
-    gw = matmul(grad.T, x)
+    gx = grad @ layer.weight
+    gw = grad.T @ x
     gb = grad.sum(axis=0)
     return gx, gw, gb

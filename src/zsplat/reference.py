@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import linear, matmul, softmax_rows
+from .numerics import linear, softmax_rows
 from .zformer import AttentionConfig, ZFormerParams, _block_counts, _head_slices
 
 
@@ -45,9 +45,9 @@ def dense_attention_reference(f: np.ndarray, params: ZFormerParams,
     slices, dh = _head_slices(cfg)
     tok = np.empty_like(q)
     for hs in slices:
-        scores = matmul(q[:, hs], k[:, hs].T) / np.sqrt(dh)
+        scores = q[:, hs] @ k[:, hs].T / np.sqrt(dh)
         probs = softmax_rows(scores)
-        tok[:, hs] = matmul(probs, v[:, hs])
+        tok[:, hs] = probs @ v[:, hs]
     return linear(tok, params.w_o)
 
 

@@ -70,10 +70,9 @@ class Camera:
         try:
             fx, fy = float(data["fx"]), float(data["fy"])
             cx, cy = float(data["cx"]), float(data["cy"])
-            mat = data["cam_to_world"]
+            mat = np.asarray(data["cam_to_world"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad camera record: {exc}") from exc
-        mat = np.asarray(mat, dtype=np.float64)
         if mat.shape != (16,):
             raise FormatError(f"cam_to_world must hold 16 numbers, got shape {mat.shape}")
         return cls(fx, fy, cx, cy, mat.reshape(4, 4))
@@ -83,7 +82,7 @@ def read_camera(path) -> Camera:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: invalid camera JSON: {exc}") from exc
     return Camera.from_dict(data)
 
@@ -202,10 +201,19 @@ def assemble(views) -> PointRepresentation:
         depth = np.asarray(depth, dtype=np.float64)
         pts = unproject(depth, camera)
         m = pts.shape[0]
-        colors = np.asarray(colors, dtype=np.float64).reshape(m, 3)
+        if m == 0:
+            raise InputError(f"view {i}: depth map {depth.shape} has no pixels")
+        colors = np.asarray(colors, dtype=np.float64)
+        features = np.asarray(features, dtype=np.float32)
+        if colors.size != 3 * m or features.ndim < 2 or math.prod(features.shape[:-1]) != m:
+            raise InputError(
+                f"view {i}: colors {colors.shape} and features {features.shape} "
+                f"need one row per pixel of the {depth.shape} depth map"
+            )
+        colors = colors.reshape(m, 3)
         if colors.min() < 0.0 or colors.max() > 1.0:
             raise InputError(f"view {i}: colors must lie in [0, 1]")
-        features = np.asarray(features, dtype=np.float32).reshape(m, -1)
+        features = features.reshape(m, -1)
         if width is None:
             width = features.shape[1]
         elif features.shape[1] != width:
@@ -434,26 +442,29 @@ def read_gaussians_ply(path) -> Gaussians:
     end = blob.find(end_tag)
     if end < 0:
         raise FormatError("missing end_header", offset=len(blob))
-    header = blob[:end].decode("ascii", errors="replace").splitlines()
+    # one replacement character per undecodable byte keeps offsets in bytes
+    header = blob[:end].decode("ascii", errors="replace").split("\n")
     if not header or header[0] != "ply":
         raise FormatError("not a PLY file", offset=0)
     if "format binary_little_endian 1.0" not in header[1:3]:
         raise FormatError("expected binary little-endian 1.0", offset=4)
     count = None
     props = []
+    at = 0  # byte offset of the current line
     for line in header:
         if line.startswith("element vertex "):
             text = line.split()[-1]
             if not text.isdecimal():
-                raise FormatError(f"bad vertex count: {line}", offset=blob.find(line.encode()))
+                raise FormatError(f"bad vertex count: {line}", offset=at)
             count = int(text)
         elif line.startswith("element "):
-            raise FormatError(f"unsupported element: {line}", offset=blob.find(line.encode()))
+            raise FormatError(f"unsupported element: {line}", offset=at)
         elif line.startswith("property "):
             parts = line.split()
-            if parts[1] != "float":
-                raise FormatError(f"non-float property: {line}", offset=blob.find(line.encode()))
+            if len(parts) != 3 or parts[1] != "float":
+                raise FormatError(f"expected 'property float <name>': {line}", offset=at)
             props.append(parts[2])
+        at += len(line) + 1
     if count is None:
         raise FormatError("missing vertex element", offset=0)
     if props != _PLY_FIELDS:

@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from zsplat.cli import main
-from zsplat.scene import read_gaussians_ply, read_tensor
+from zsplat.scene import read_gaussians_ply, read_tensor, write_tensor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 SMALL_CFG = {
@@ -187,6 +191,50 @@ def test_hostile_scene_files_exit_2(tmp_path):
         b'{"dtype": "f32", "shape": [4294967296, 4294967296]}\n'
     )
     assert main(["select-views", "--scene", str(scene), "--max-views", "1"]) == 2
+
+
+@pytest.mark.parametrize("mat", [["a"] * 16, [[1, 2], [3]]], ids=["strings", "ragged"])
+def test_malformed_camera_matrix_exits_2(tmp_path, capsys, mat):
+    scene = _gen(tmp_path, views=1)
+    camera = scene / "view_0" / "camera.json"
+    record = json.loads(camera.read_text())
+    camera.write_text(json.dumps(dict(record, cam_to_world=mat)))
+    assert main(["select-views", "--scene", str(scene), "--max-views", "1"]) == 2
+    assert "bad camera record" in capsys.readouterr().err
+
+
+def test_view_payload_unlike_its_depth_map_exits_2(tmp_path, capsys):
+    scene = _gen(tmp_path, res="8x8")
+    write_tensor(scene / "view_1" / "color.tns", np.full((2, 2, 3), 0.5, np.float32))
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 2
+    assert "view 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [
+    {"block_len": "32"}, {"cell": "x"}, {"origin": 5}, {"origin": [0, 0, "a"]},
+    {"n_blocks": True}, {"select_k": 2.5}, {"position_mode": None},
+], ids=["block_len-str", "cell-str", "origin-int", "origin-str", "n_blocks-bool",
+        "select_k-float", "position_mode-null"])
+def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, field):
+    cfg = _write_cfg(tmp_path / "cfg.json", **field)
+    assert main(["init-checkpoint", "--out", str(tmp_path / "ckpt"), "--config", cfg]) == 2
+    assert next(iter(field)) in capsys.readouterr().err
+
+
+def test_demo_script_writes_a_ply_per_level(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "run_pipeline.py"),
+         "--workdir", "demo", "--res", "16x16", "--cell", "0.25"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    plys = sorted(p.name for p in (tmp_path / "demo" / "gaussians").iterdir())
+    assert plys == ["level_1.ply", "level_2.ply"]
 
 
 def test_malformed_scene_config_exits_2(tmp_path):

@@ -44,31 +44,30 @@ def test_derive_seed_is_stable_and_label_sensitive(seed):
     assert a != numerics.derive_seed(seed, "w_k")
 
 
-def test_matmul_matches_triple_loop():
-    a = numerics.uniform01(1, 12).reshape(3, 4)
-    b = numerics.uniform01(2, 20).reshape(4, 5)
+def test_linear_matches_triple_loop():
+    x = numerics.uniform01(1, 12).reshape(3, 4)
+    layer = numerics.LinearLayer(
+        numerics.uniform01(2, 20).reshape(5, 4), numerics.uniform01(3, 5), seed=0
+    )
     want = np.zeros((3, 5))
     for i in range(3):
         for j in range(5):
+            want[i, j] = layer.bias[j]
             for k in range(4):
-                want[i, j] += a[i, k] * b[k, j]
-    assert np.allclose(numerics.matmul(a, b), want, atol=1e-12)
+                want[i, j] += x[i, k] * layer.weight[j, k]
+    # the product accumulates in its operands' dtype
+    for dtype, atol in ((np.float64, 1e-12), (np.float32, 1e-6)):
+        got = numerics.linear(x.astype(dtype), layer.astype(dtype))
+        assert got.dtype == dtype
+        assert np.allclose(got, want, rtol=0, atol=atol)
 
 
-def test_matmul_accumulates_in_float64():
-    # catastrophic cancellation case: float32 accumulation loses the 1.0
-    a = np.array([[1e8, 1.0, -1e8]], dtype=np.float32)
-    b = np.ones((3, 1), dtype=np.float32)
-    out = numerics.matmul(a, b)
-    assert out.dtype == np.float32
-    assert out[0, 0] == 1.0
-
-
-def test_matmul_shape_errors_name_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        numerics.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+def test_linear_width_error_names_both_widths():
+    layer = numerics.init_linear(3, 2, seed=0)
+    with pytest.raises(ShapeError, match=r"width 4 != layer width 3"):
+        numerics.linear(np.zeros((2, 4), np.float32), layer)
     with pytest.raises(ShapeError):
-        numerics.matmul(np.zeros(3), np.zeros((3, 2)))
+        numerics.linear(np.zeros(2, np.float32), layer)
 
 
 @given(

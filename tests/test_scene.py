@@ -94,6 +94,13 @@ def test_camera_json_errors(tmp_path):
     path.write_text(json.dumps({"fx": 1.0}))
     with pytest.raises(FormatError):
         scene.read_camera(path)
+    for mat in (["a"] * 16, [[1, 2], [3]]):
+        path.write_text(json.dumps({"fx": 1, "fy": 1, "cx": 0, "cy": 0, "cam_to_world": mat}))
+        with pytest.raises(FormatError, match="camera"):
+            scene.read_camera(path)
+    path.write_bytes(b'{"fx": "\xff"}')
+    with pytest.raises(FormatError):
+        scene.read_camera(path)
 
 
 def _tiny_views(n_views=2, res=4, width=6):
@@ -133,6 +140,16 @@ def test_assemble_rejects_mismatched_views():
         scene.assemble(bad)
     with pytest.raises(InputError):
         scene.assemble([])
+
+
+def test_assemble_rejects_payload_sizes_unlike_the_depth_map():
+    views = _tiny_views(2, res=8, width=6)
+    depth, cam, colors, feats = views[1]
+    for bad in ((depth, cam, colors[:2, :2], feats), (depth, cam, colors, feats[:4]),
+                (depth, cam, colors, feats.ravel()),
+                (np.zeros((0, 0)), cam, colors[:0], feats[:0])):
+        with pytest.raises(InputError, match="view 1"):
+            scene.assemble([views[0], bad])
 
 
 def test_point_representation_take_and_validation():
@@ -319,6 +336,17 @@ def test_ply_read_rejects_foreign_layout(tmp_path):
     path.write_bytes(blob[:-5])
     with pytest.raises(FormatError, match="bytes"):
         scene.read_gaussians_ply(path)
+
+
+def test_ply_read_rejects_unnamed_property(tmp_path):
+    good = tmp_path / "g.ply"
+    scene.write_gaussians_ply(good, _valid_gaussians(2))
+    blob = good.read_bytes().replace(b"property float opacity", b"property float")
+    path = tmp_path / "x.ply"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="property float <name>") as info:
+        scene.read_gaussians_ply(path)
+    assert info.value.offset == blob.find(b"property float\n")
 
 
 def test_ply_read_rejects_non_numeric_vertex_count(tmp_path):
