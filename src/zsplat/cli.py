@@ -84,8 +84,10 @@ def cmd_gen_scene(args) -> int:
         with open(args.scene_config, "r", encoding="utf-8") as fh:
             try:
                 overrides = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise FormatError(f"{args.scene_config}: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{args.scene_config}: scene config must be a JSON object")
     if args.kind:
         overrides["kind"] = args.kind
     if args.views is not None:

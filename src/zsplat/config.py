@@ -21,7 +21,7 @@ _FIELD_TYPES = {
 }
 
 
-def _is_number(value) -> bool:
+def is_finite_number(value) -> bool:
     """A real number, not a bool, that converts to a finite float."""
     if isinstance(value, bool) or not isinstance(value, Real):
         return False
@@ -52,7 +52,7 @@ class RunConfig:
         for f in fields(self):
             kind, what = _FIELD_TYPES[f.type]
             value = getattr(self, f.name)
-            if not isinstance(value, kind) or isinstance(value, Real) and not _is_number(value):
+            if not isinstance(value, kind) or isinstance(value, Real) and not is_finite_number(value):
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.n_blocks < 1:
             raise ConfigError(f"n_blocks must be >= 1, got {self.n_blocks}")
@@ -70,7 +70,7 @@ class RunConfig:
         if self.cell is not None and self.cell <= 0:
             raise ConfigError(f"cell must be positive, got {self.cell}")
         if self.origin is not None:
-            if len(self.origin) != 3 or not all(map(_is_number, self.origin)):
+            if len(self.origin) != 3 or not all(map(is_finite_number, self.origin)):
                 raise ConfigError(f"origin must be 3 finite numbers, got {self.origin!r}")
             object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         # delegate attention-shape validation

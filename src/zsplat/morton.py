@@ -48,26 +48,6 @@ def _check_depth(depth: int) -> None:
         raise RangeError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
 
 
-@dataclass(frozen=True)
-class ZCode:
-    """A Morton code together with its per-axis bit depth.
-
-    Depth 0 is the fully collapsed root cell (value 0); codes produced by
-    :func:`encode` always have depth >= 1.
-    """
-
-    value: int
-    depth: int
-
-    def __post_init__(self):
-        if not 0 <= self.depth <= MAX_DEPTH:
-            raise RangeError(f"depth must be in [0, {MAX_DEPTH}], got {self.depth}")
-        if not 0 <= self.value < 1 << (3 * self.depth):
-            raise RangeError(
-                f"code value {self.value} out of range for depth {self.depth}"
-            )
-
-
 def encode_array(coords: np.ndarray, depth: int) -> np.ndarray:
     """Interleave integer (N, 3) coordinates into uint64 Morton codes."""
     _check_depth(depth)
@@ -93,33 +73,13 @@ def decode_array(codes: np.ndarray, depth: int) -> np.ndarray:
     return np.stack([x, y, z], axis=1).astype(np.int64)
 
 
-def encode(x: int, y: int, z: int, depth: int) -> ZCode:
-    """Morton code of a single coordinate triple."""
-    value = encode_array(np.array([[x, y, z]], dtype=np.int64), depth)[0]
-    return ZCode(int(value), depth)
-
-
-def decode(code: ZCode) -> tuple[int, int, int]:
-    """Coordinate triple of a single Morton code (exact inverse of encode)."""
-    x, y, z = decode_array(np.array([code.value], dtype=np.uint64), code.depth)[0]
-    return int(x), int(y), int(z)
-
-
-def shift(code: ZCode, levels: int) -> ZCode:
-    """Drop ``levels`` coordinate levels (3 bits each) from a code.
-
-    Satisfies the nesting law: shifting encode(x, y, z) by h equals
-    encode(x >> h, y >> h, z >> h) at the reduced depth.
-    """
-    if not 0 <= levels <= code.depth:
-        raise RangeError(f"shift levels {levels} out of [0, {code.depth}]")
-    if levels == 0:
-        return code
-    return ZCode(code.value >> (3 * levels), code.depth - levels)
-
-
 def shift_array(codes: np.ndarray, levels: int, depth: int) -> np.ndarray:
-    """Array form of :func:`shift`: values shifted right by ``3 * levels``."""
+    """Drop ``levels`` coordinate levels (3 bits each) from depth-``depth``
+    codes: values shifted right by ``3 * levels``.
+
+    Satisfies the nesting law: the shifted codes of ``coords`` equal the codes
+    of ``coords >> levels`` at depth ``depth - levels``.
+    """
     if not 0 <= levels <= depth:
         raise RangeError(f"shift levels {levels} out of [0, {depth}]")
     return np.asarray(codes, dtype=np.uint64) >> _U(3 * levels)

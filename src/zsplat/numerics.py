@@ -6,7 +6,10 @@ everywhere: a product accumulates in its operands' dtype. Inference runs in
 float32 (linear layers, attention scores and values, activations); callers
 that pass float64 operands, the reference implementations and the gradient
 oracles, get float64 end to end. Constants are python floats, which take the
-array's dtype instead of promoting it.
+array's dtype instead of promoting it. ``segment_sum``, the one reduction
+over contiguous runs of rows (block means, Z-order cluster means and their
+gradients), follows the same rule: its 0/1 indicator takes ``x``'s dtype, so
+float32 rows are summed in float32.
 
 Random initialization uses SplitMix64, fixed here by constant: output i of a
 stream seeded with ``s`` is ``mix64(s + (i+1) * 0x9E3779B97F4A7C15)`` where
@@ -21,9 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import erf
 
-from .errors import NumericError, ShapeError
+from .errors import InputError, NumericError, ShapeError
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -68,6 +72,29 @@ def softmax_rows_backward(grad: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Gradient of a row-wise softmax, given its output ``probs``."""
     inner = np.sum(grad * probs, axis=-1, keepdims=True)
     return probs * (grad - inner)
+
+
+def segment_sum(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sums of the contiguous row segments of ``x`` that begin at ``starts``:
+    row i of the result is ``x[starts[i]:starts[i+1]].sum(0)``, the last
+    segment running to the end, in ``x``'s dtype.
+
+    One product with a sparse 0/1 indicator (segment i has ones in its own
+    columns), so the cost is one pass over ``x`` whatever the segment count.
+    ``starts`` must begin at 0, rise strictly and stay below ``len(x)``: every
+    segment holds at least one row."""
+    x = np.asarray(x)
+    starts = np.asarray(starts)
+    n = x.shape[0]
+    if (starts.ndim != 1 or not np.issubdtype(starts.dtype, np.integer)
+            or len(starts) == 0 or starts[0] != 0 or starts[-1] >= n
+            or np.any(starts[1:] <= starts[:-1])):
+        raise InputError(
+            f"segment starts must be integers rising strictly from 0 below {n}"
+        )
+    indicator = csr_array((np.ones(n, x.dtype), np.arange(n), np.append(starts, n)),
+                          shape=(len(starts), n))
+    return indicator @ x
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -8,8 +8,11 @@ drawn from the seeded generator, so scenes are bit-reproducible.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
+from .config import is_finite_number
 from .errors import ConfigError
 from .numerics import derive_seed, uniform01
 from .scene import Camera
@@ -30,20 +33,51 @@ _DEFAULTS = {
 }
 
 
+def _is_int(value, low: int | None = None) -> bool:
+    """An integer, not a bool, at least ``low`` when given."""
+    return (isinstance(value, Integral) and not isinstance(value, bool)
+            and (low is None or value >= low))
+
+
+def _list_of(count: int, check):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) == count and all(map(check, v))
+
+
+def _number_or_null(value) -> bool:
+    return value is None or is_finite_number(value)
+
+
+# accepted values per key, with the description an error quotes
+_RULES = {
+    "kind": (lambda v: v in ("plane", "sphere"), "'plane' or 'sphere'"),
+    "resolution": (_list_of(2, lambda v: _is_int(v, 1)), "two integers >= 1"),
+    "n_views": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "feature_width": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "seed": (_is_int, "an integer"),
+    "focal": (_number_or_null, "a finite number or null"),
+    "distance": (is_finite_number, "a finite number"),
+    "spread": (is_finite_number, "a finite number"),
+    "plane_z": (is_finite_number, "a finite number"),
+    "sphere_center": (_list_of(3, is_finite_number), "3 finite numbers"),
+    "sphere_radius": (is_finite_number, "a finite number"),
+    "background": (_number_or_null, "a finite number or null"),
+}
+
+
 def scene_config(overrides: dict | None = None) -> dict:
-    """Defaults merged with overrides; unknown keys are rejected."""
+    """Defaults merged with overrides; unknown keys and values of the wrong
+    type or range are rejected."""
+    if overrides is not None and not isinstance(overrides, dict):
+        raise ConfigError(f"scene config must be a JSON object, got {overrides!r}")
     cfg = dict(_DEFAULTS)
     for key, value in (overrides or {}).items():
         if key not in cfg:
             raise ConfigError(f"unknown scene config key: {key!r}")
         cfg[key] = value
-    if cfg["kind"] not in ("plane", "sphere"):
-        raise ConfigError(f"kind must be 'plane' or 'sphere', got {cfg['kind']!r}")
+    for key, (check, what) in _RULES.items():
+        if not check(cfg[key]):
+            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
     h, w = cfg["resolution"]
-    if not (h >= 1 and w >= 1):
-        raise ConfigError(f"bad resolution {cfg['resolution']}")
-    if cfg["n_views"] < 1:
-        raise ConfigError("n_views must be >= 1")
     if cfg["focal"] is None:
         cfg["focal"] = float(w)
     if cfg["background"] is None:

@@ -3,7 +3,8 @@
 A block runs on features sorted along the Z-curve (``morton.sort_by_code``):
 
 1. group attention — queries/keys/values (one projection, shared with top-k)
-   are mean-pooled over contiguous blocks of ``block_len`` tokens; block-level
+   are mean-pooled over contiguous blocks of ``block_len`` tokens, each mean a
+   segment sum (``numerics.segment_sum``) over the Z-sorted rows; block-level
    softmax attention produces both a coarse output and the block affinities;
 2. top-k attention — each query block attends to the raw tokens of the k
    blocks its affinity row ranks highest (its own block always included), so
@@ -12,7 +13,8 @@ A block runs on features sorted along the Z-curve (``morton.sort_by_code``):
    are added to the input features (residual);
 4. Z-order pooling — tokens whose codes agree after dropping ``pool_levels``
    levels collapse to one point (mean features through a projection, mean
-   colors, cell-center positions).
+   colors, cell-center positions); a cell's members are a contiguous run of
+   the Z-sorted rows, so each mean is a segment sum over those rows.
 
 Each op has a ``*_fwd`` variant returning a cache and a matching ``*_bwd``
 computing exact gradients by hand; the top-k block selection is treated as
@@ -33,6 +35,7 @@ from .numerics import (
     init_linear,
     linear,
     linear_backward,
+    segment_sum,
     sigmoid,
     softmax_rows,
     softmax_rows_backward,
@@ -152,6 +155,11 @@ def _block_counts(n: int, block_len: int) -> np.ndarray:
     return counts
 
 
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """First row of each segment, given the segment lengths."""
+    return np.cumsum(counts) - counts
+
+
 def block_pool(x: np.ndarray, block_len: int) -> np.ndarray:
     """Mean over contiguous blocks of rows; a short final block averages over
     its actual length."""
@@ -159,8 +167,7 @@ def block_pool(x: np.ndarray, block_len: int) -> np.ndarray:
     if n == 0:
         raise InputError("cannot block-pool zero rows")
     counts = _block_counts(n, block_len)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    sums = np.add.reduceat(x, starts, axis=0)
+    sums = segment_sum(x, _starts(counts))
     return sums / counts[:, None].astype(sums.dtype)
 
 
@@ -216,8 +223,7 @@ def group_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
     """Gradient of the group branch; no gradient flows out of w_blocks (its
     only consumer, the top-k ranking, is frozen)."""
     counts = cache["counts"]
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    g_rows = np.add.reduceat(g_out, starts, axis=0)
+    g_rows = segment_sum(g_out, _starts(counts))
     g_block_out, gw_o, gb_o = linear_backward(g_rows, cache["block_out"], params.w_o)
     qb, kb, vb = np.split(cache["pooled"], 3, axis=1)
     g_pooled = np.zeros_like(cache["pooled"])
@@ -285,7 +291,7 @@ def _topk_loop_fwd(q, k, v, selection, counts, cfg):
     """Reference path: one python iteration per query block, keeping each
     block's softmax. It builds the gradient cache and is the oracle the
     chunked kernel is checked against."""
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    starts = _starts(counts)
     slices, dh = _head_slices(cfg)
     scale = dh ** -0.5  # python float: keeps float32 inputs in float32
     tok_out = np.empty_like(q)
@@ -481,14 +487,14 @@ def zorder_pool_fwd(rep, codes: np.ndarray, levels: int, params: ZFormerParams,
         raise InputError("zorder_pool requires codes sorted ascending")
     keys = codes >> np.uint64(3 * levels)
     starts, counts = _cluster_starts(keys)
-    mean_feat = np.add.reduceat(rep.features, starts, axis=0) / counts[:, None].astype(
+    mean_feat = segment_sum(rep.features, starts) / counts[:, None].astype(
         rep.features.dtype
     )
     pooled_feat = linear(mean_feat, params.pool_proj)
-    colors = np.add.reduceat(rep.colors, starts, axis=0) / counts[:, None]
+    colors = segment_sum(rep.colors, starts) / counts[:, None]
     new_codes = keys[starts]
     if cfg.position_mode == "member_mean":
-        positions = np.add.reduceat(rep.positions, starts, axis=0) / counts[:, None]
+        positions = segment_sum(rep.positions, starts) / counts[:, None]
     else:
         coarse = quantizer.coarsen(levels) if levels else quantizer
         ijk = decode_array(new_codes, coarse.depth)

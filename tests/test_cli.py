@@ -246,3 +246,28 @@ def test_malformed_scene_config_exits_2(tmp_path):
     unknown.write_text('{"n_view": 3}')
     assert main(["gen-scene", "--out", str(tmp_path / "s"),
                  "--scene-config", str(unknown)]) == 2
+
+
+@pytest.mark.parametrize("payload, named", [
+    (b'{"n_views": "3"}', "n_views"),
+    (b'{"resolution": [8]}', "resolution"),
+    (b'{"resolution": [8, 0]}', "resolution"),
+    (b'{"kind": "sphere", "sphere_radius": "x"}', "sphere_radius"),
+    (b'{"feature_width": "8"}', "feature_width"),
+    (b'{"feature_width": 0}', "feature_width"),
+    (b'{"sphere_center": [0, 0, NaN]}', "sphere_center"),
+    (b'{"focal": "wide"}', "focal"),
+    (b'{"background": [1]}', "background"),
+    (b'{"seed": true}', "seed"),
+    (b'[1, 2]', "JSON object"),
+    (b'{"kind": "\xff"}', "utf-8"),
+], ids=["n_views-str", "resolution-one", "resolution-zero", "sphere_radius-str",
+        "feature_width-str", "feature_width-0", "sphere_center-nan", "focal-str",
+        "background-list", "seed-bool", "not-an-object", "not-utf8"])
+def test_scene_config_value_of_wrong_type_exits_2(tmp_path, capsys, payload, named):
+    path = tmp_path / "scene.json"
+    path.write_bytes(payload)
+    out = tmp_path / "s"
+    assert main(["gen-scene", "--out", str(out), "--scene-config", str(path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()

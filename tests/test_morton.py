@@ -11,53 +11,57 @@ from zsplat.scene import PointRepresentation
 coords21 = st.integers(min_value=0, max_value=2**21 - 1)
 
 
+def _encode(coords, depth):
+    return [int(c) for c in morton.encode_array(np.array(coords, dtype=np.int64), depth)]
+
+
 def test_encode_frozen_values():
     # single-bit axes land at interleaved positions 0, 1, 2
-    assert morton.encode(1, 0, 0, 1).value == 1
-    assert morton.encode(0, 1, 0, 1).value == 2
-    assert morton.encode(0, 0, 1, 1).value == 4
+    assert _encode([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1) == [1, 2, 4]
     # worked example: x=011, y=101, z=110 interleave to 0b110101011
-    assert morton.encode(3, 5, 6, 3).value == 427
+    assert _encode([[3, 5, 6]], 3) == [427]
     # frozen from the bit-loop oracle
-    assert morton.encode(99999, 12345, 54321, 17).value == 476506356938319
+    assert _encode([[99999, 12345, 54321]], 17) == [476506356938319]
     # all 63 bits populated at full depth
     top = 2**21 - 1
-    assert morton.encode(top, top, top, 21).value == 2**63 - 1
+    assert _encode([[top, top, top]], 21) == [2**63 - 1]
 
 
-@given(coords21, coords21, coords21)
+@given(st.lists(st.tuples(coords21, coords21, coords21), min_size=1, max_size=16))
 @settings(max_examples=200, deadline=None)
-def test_encode_matches_bit_loop_oracle_at_full_depth(x, y, z):
-    assert morton.encode(x, y, z, 21).value == reference.encode_reference(x, y, z, 21)
+def test_encode_matches_bit_loop_oracle_at_full_depth(triples):
+    assert _encode(triples, 21) == [reference.encode_reference(*t, 21) for t in triples]
+
+
+def _triples(data, depth):
+    hi = 2**depth - 1
+    coord = st.integers(0, hi)
+    return data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=16))
 
 
 @given(st.data(), st.integers(min_value=1, max_value=21))
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_at_any_depth(data, depth):
-    hi = 2**depth - 1
-    x = data.draw(st.integers(0, hi))
-    y = data.draw(st.integers(0, hi))
-    z = data.draw(st.integers(0, hi))
-    code = morton.encode(x, y, z, depth)
-    assert morton.decode(code) == (x, y, z)
-    assert reference.decode_reference(code.value, depth) == (x, y, z)
+    triples = _triples(data, depth)
+    codes = morton.encode_array(np.array(triples, dtype=np.int64), depth)
+    assert morton.decode_array(codes, depth).tolist() == [list(t) for t in triples]
+    assert [reference.decode_reference(int(c), depth) for c in codes] == triples
 
 
 @given(st.data(), st.integers(min_value=1, max_value=21))
 @settings(max_examples=150, deadline=None)
 def test_shift_equals_encode_of_shifted_coords(data, depth):
-    hi = 2**depth - 1
-    x = data.draw(st.integers(0, hi))
-    y = data.draw(st.integers(0, hi))
-    z = data.draw(st.integers(0, hi))
+    coords = np.array(_triples(data, depth), dtype=np.int64)
     levels = data.draw(st.integers(0, depth))
-    shifted = morton.shift(morton.encode(x, y, z, depth), levels)
-    assert shifted.depth == depth - levels
+    shifted = morton.shift_array(morton.encode_array(coords, depth), levels, depth)
+    assert shifted.dtype == np.uint64
+    # a valid code of the reduced depth
+    assert int(shifted.max()) < 1 << (3 * (depth - levels))
     if levels < depth:
-        want = morton.encode(x >> levels, y >> levels, z >> levels, depth - levels)
-        assert shifted.value == want.value
+        want = morton.encode_array(coords >> levels, depth - levels)
+        assert np.array_equal(shifted, want)
     else:
-        assert shifted.value == 0
+        assert not shifted.any()
 
 
 def test_array_ops_agree_with_scalar_ops():
@@ -66,24 +70,25 @@ def test_array_ops_agree_with_scalar_ops():
     back = morton.decode_array(codes, 14)
     assert np.array_equal(back, vals)
     for row, code in zip(vals[:32], codes[:32]):
-        assert morton.encode(*(int(v) for v in row), 14).value == int(code)
+        assert reference.encode_reference(*(int(v) for v in row), 14) == int(code)
+        assert reference.decode_reference(int(code), 14) == tuple(int(v) for v in row)
     shifted = morton.shift_array(codes, 5, 14)
     assert np.array_equal(shifted, morton.encode_array(vals >> 5, 9))
 
 
 def test_encode_rejects_out_of_range_inputs():
     with pytest.raises(RangeError):
-        morton.encode(8, 0, 0, 3)
+        morton.encode_array([[8, 0, 0]], 3)
     with pytest.raises(RangeError):
-        morton.encode(-1, 0, 0, 3)
+        morton.encode_array([[-1, 0, 0]], 3)
     with pytest.raises(RangeError):
-        morton.encode(0, 0, 0, 22)
+        morton.encode_array([[0, 0, 0]], 22)
     with pytest.raises(RangeError):
-        morton.encode(0, 0, 0, 0)
+        morton.encode_array([[0, 0, 0]], 0)
     with pytest.raises(RangeError):
-        morton.shift(morton.encode(1, 1, 1, 4), 5)
+        morton.shift_array(morton.encode_array([[1, 1, 1]], 4), 5, 4)
     with pytest.raises(RangeError):
-        morton.ZCode(8, 1)
+        morton.decode_array([8], 1)
 
 
 def test_quantizer_frozen_example():

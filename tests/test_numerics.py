@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zsplat import numerics
-from zsplat.errors import NumericError, ShapeError
+from zsplat.errors import InputError, NumericError, ShapeError
 
 # First outputs of the SplitMix64 stream, frozen from an independent
 # pure-python implementation of the reference mixer.
@@ -60,6 +60,57 @@ def test_linear_matches_triple_loop():
         got = numerics.linear(x.astype(dtype), layer.astype(dtype))
         assert got.dtype == dtype
         assert np.allclose(got, want, rtol=0, atol=atol)
+
+
+@st.composite
+def _segmented_rows(draw):
+    """Rows of one width and dtype cut into ragged, length-1 or one segment."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    layout = draw(st.sampled_from(["ragged", "length-1", "single"]))
+    if layout == "single" or n == 1:
+        starts = [0]
+    elif layout == "length-1":
+        starts = list(range(n))
+    else:
+        starts = [0] + sorted(draw(st.sets(st.integers(1, n - 1), max_size=40)))
+    width = draw(st.integers(min_value=1, max_value=96))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    x = ((numerics.uniform01(seed, n * width) * 2 - 1) * scale).reshape(n, width)
+    return x.astype(dtype), np.array(starts, dtype=np.int64)
+
+
+@given(_segmented_rows())
+@settings(max_examples=150, deadline=None)
+def test_segment_sum_matches_float64_loop(case):
+    x, starts = case
+    got = numerics.segment_sum(x, starts)
+    assert got.dtype == x.dtype
+    ends = list(starts[1:]) + [len(x)]
+    want = np.stack([x[a:b].astype(np.float64).sum(0) for a, b in zip(starts, ends)])
+    magnitude = np.stack([np.abs(x[a:b].astype(np.float64)).sum(0)
+                          for a, b in zip(starts, ends)])
+    rtol = 1e-6 if x.dtype == np.float32 else 1e-12
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * magnitude)
+
+
+@given(_segmented_rows(), st.sampled_from(["unsorted", "repeated", "nonzero-first", "past-end"]))
+@settings(max_examples=60, deadline=None)
+def test_segment_sum_rejects_starts_that_leave_a_segment_empty(case, fault):
+    x, starts = case
+    n = len(x)
+    if fault == "unsorted":  # a lone start at 0 has no smaller start to fall back to
+        bad = np.r_[starts, starts[-1] - 1] if starts[-1] > 0 else np.r_[0, n, 1]
+    elif fault == "repeated":
+        bad = np.r_[starts, starts[-1]]
+    elif fault == "nonzero-first":
+        bad = np.r_[1, starts[1:]]
+    else:
+        bad = np.r_[starts, n + (starts[-1] % 3)]
+    with pytest.raises(InputError):
+        numerics.segment_sum(x, bad)
 
 
 def test_linear_width_error_names_both_widths():

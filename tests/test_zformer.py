@@ -11,7 +11,7 @@ from gradutil import grads_to_vec, layer_to_vec, vec_to_layer
 from zsplat import reference, zformer
 from zsplat.errors import ConfigError, InputError, RangeError
 from zsplat.morton import Quantizer, sort_by_code
-from zsplat.numerics import LinearLayer, grad_check, linear, uniform01
+from zsplat.numerics import LinearLayer, grad_check, linear, segment_sum, uniform01
 from zsplat.scene import PointRepresentation
 
 
@@ -157,6 +157,22 @@ def test_topk_chunked_working_set_is_cache_sized():
     finally:
         tracemalloc.stop()
     assert peak < 16e6, f"top-k kernel peak allocation {peak / 1e6:.1f} MB"
+
+
+def test_segment_sum_working_set_stays_small():
+    # the sparse-k benchmark's first pooling: 16384 float32 rows of width 96 in
+    # ~3300 Z-order cells; a dense indicator would take ~200 MB
+    n, width = 16384, 96
+    x = _features(n, width, seed=67)
+    starts = np.flatnonzero(np.r_[True, uniform01(68, n - 1) < 3300 / n])
+    tracemalloc.start()
+    try:
+        sums = segment_sum(x, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (len(starts), width) and sums.dtype == np.float32
+    assert peak < 4e6, f"segment_sum peak allocation {peak / 1e6:.1f} MB"
 
 
 def test_multi_head_group_differs_from_single_head_but_same_shape():
