@@ -1,7 +1,9 @@
 """Command line entry point.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input or file
-format, 3 out-of-range argument, 4 checkpoint/config mismatch.
+Exit codes: 0 success, 1 verification failure, otherwise the failing
+error's ``exit_code`` (see ``errors.py``: 2 malformed input or file format,
+3 out-of-range argument, 4 checkpoint/config mismatch); an OS error reading
+or writing a path exits 2.
 """
 
 from __future__ import annotations
@@ -23,15 +25,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import RunConfig
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    FormatError,
-    InputError,
-    RangeError,
-    ValidationError,
-)
-from .morton import Quantizer, sort_by_code
+from .errors import ConfigError, FormatError, InputError, RangeError, ZsplatError
+from .morton import MAX_DEPTH, Quantizer, sort_by_code
 from .pipeline import (
     forward_scene,
     init_model,
@@ -108,8 +103,8 @@ def cmd_gen_scene(args) -> int:
 def cmd_serialize(args) -> int:
     cfg = _load_config(args)
     if args.depth is not None:
-        if not 1 <= args.depth <= 21:
-            raise RangeError(f"--depth must be in [1, 21], got {args.depth}")
+        if not 1 <= args.depth <= MAX_DEPTH:
+            raise RangeError(f"--depth must be in [1, {MAX_DEPTH}], got {args.depth}")
         cfg = replace(cfg, serialize_depth=args.depth)
     views = load_scene_dir(args.scene, _loader_threads())
     rep = assemble(views)
@@ -156,8 +151,6 @@ def cmd_forward(args) -> int:
 
 
 def cmd_select_views(args) -> int:
-    if not 1 <= args.depth <= 21:
-        raise RangeError(f"--depth must be in [1, 21], got {args.depth}")
     views = load_scene_dir(args.scene, _loader_threads())
     point_sets = [unproject(depth, camera) for depth, camera, _, _ in views]
     quant = Quantizer.fit(np.concatenate(point_sets), args.depth)
@@ -185,9 +178,7 @@ def cmd_select_views(args) -> int:
 
 def cmd_init_checkpoint(args) -> int:
     cfg = _load_config(args)
-    model = init_model(cfg)
-    save_checkpoint(model, args.out)
-    n_layers = 6 * cfg.n_blocks + 2
+    n_layers = save_checkpoint(init_model(cfg), args.out)
     print(f"initialized {n_layers} layers (seed {cfg.seed}) in {args.out}")
     return 0
 
@@ -262,20 +253,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RangeError as exc:
+    except ZsplatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (
-        FormatError,
-        InputError,
-        ConfigError,
-        ValidationError,
-        FileNotFoundError,
-        NotADirectoryError,
-    ) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,15 +1,17 @@
-"""Run configuration: one flat record driving model shape, serialization
-depth, and quantizer overrides. JSON round-trippable; unknown keys are
-rejected rather than ignored so config typos fail loudly."""
+"""Run configuration: the block shape (``zformer.AttentionConfig``, whose
+fields, defaults and range checks it inherits) plus model depth, serialization
+depth and quantizer overrides. Read from one flat JSON object; unknown keys
+are rejected rather than ignored so config typos fail loudly."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 from .errors import ConfigError
+from .morton import MAX_DEPTH
 from .zformer import AttentionConfig
 
 # accepted value types per field annotation
@@ -32,18 +34,13 @@ def is_finite_number(value) -> bool:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(AttentionConfig):
+    """The block shape (every ``AttentionConfig`` field) plus the run fields."""
+
     seed: int = 0
     n_blocks: int = 2
-    block_len: int = 32
-    select_k: int = 0  # 0 = half the blocks
-    model_width: int = 96
-    head_width: int = 32
-    n_heads: int = 1
-    pool_levels: int = 2
     serialize_depth: int = 16
     head_hidden: int = 128
-    position_mode: str = "cell_center"
     cell: float | None = None  # explicit quantizer cell; None fits the bbox
     origin: tuple | None = None  # explicit quantizer origin (used with cell)
     offset_scale: float | None = None  # None = 2 coarse cells per level
@@ -54,11 +51,12 @@ class RunConfig:
             value = getattr(self, f.name)
             if not isinstance(value, kind) or isinstance(value, Real) and not is_finite_number(value):
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        super().__post_init__()
         if self.n_blocks < 1:
             raise ConfigError(f"n_blocks must be >= 1, got {self.n_blocks}")
-        if not 1 <= self.serialize_depth <= 21:
+        if not 1 <= self.serialize_depth <= MAX_DEPTH:
             raise ConfigError(
-                f"serialize_depth must be in [1, 21], got {self.serialize_depth}"
+                f"serialize_depth must be in [1, {MAX_DEPTH}], got {self.serialize_depth}"
             )
         if self.head_hidden < 1:
             raise ConfigError(f"head_hidden must be >= 1, got {self.head_hidden}")
@@ -73,19 +71,10 @@ class RunConfig:
             if len(self.origin) != 3 or not all(map(is_finite_number, self.origin)):
                 raise ConfigError(f"origin must be 3 finite numbers, got {self.origin!r}")
             object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        # delegate attention-shape validation
-        self.attention_config()
 
     def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(
-            block_len=self.block_len,
-            select_k=self.select_k,
-            model_width=self.model_width,
-            head_width=self.head_width,
-            n_heads=self.n_heads,
-            pool_levels=self.pool_levels,
-            position_mode=self.position_mode,
-        )
+        """The block shape, which this config already is."""
+        return self
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -105,8 +94,3 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(data)
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2)
-            fh.write("\n")

@@ -1,12 +1,14 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: input/format problems exit 2,
-range violations exit 3, checkpoint mismatches exit 4.
+Each class carries the CLI's process exit code as ``exit_code``: input and
+format problems exit 2, range violations 3, checkpoint mismatches 4.
 """
 
 
 class ZsplatError(Exception):
     """Base class for package errors."""
+
+    exit_code = 2
 
 
 class ShapeError(ZsplatError, ValueError):
@@ -19,6 +21,8 @@ class InputError(ZsplatError, ValueError):
 
 class RangeError(ZsplatError, ValueError):
     """A value is outside its permitted range (coordinate, depth, shift)."""
+
+    exit_code = 3
 
 
 class ConfigError(ZsplatError, ValueError):
@@ -41,6 +45,8 @@ class FormatError(ZsplatError, ValueError):
 
 class CheckpointError(ZsplatError, ValueError):
     """Checkpoint contents do not match the requested model configuration."""
+
+    exit_code = 4
 
 
 class ValidationError(ZsplatError, ValueError):

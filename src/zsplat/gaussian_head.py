@@ -68,7 +68,7 @@ class HeadParams:
         return self.hidden.in_width - 3
 
     @classmethod
-    def init(cls, feature_width: int = 96, hidden_width: int = 128, seed: int = 0):
+    def init(cls, feature_width: int, hidden_width: int, seed: int = 0):
         return cls(
             hidden=init_linear(feature_width + 3, hidden_width, derive_seed(seed, "head/hidden")),
             output=init_linear(hidden_width, RAW_WIDTH, derive_seed(seed, "head/output")),

@@ -18,6 +18,10 @@ from .errors import InputError, RangeError
 
 MAX_DEPTH = 21
 
+# fractional growth of a fitted quantizer's bounding box, so the extreme
+# points land inside the grid rather than on its far edge
+_FIT_PAD = 1e-3
+
 _U = np.uint64
 
 
@@ -106,9 +110,10 @@ class Quantizer:
         object.__setattr__(self, "origin", origin)
 
     @classmethod
-    def fit(cls, points: np.ndarray, depth: int = 16, pad: float = 1e-3) -> "Quantizer":
-        """Bounding-box quantizer: box expanded by ``pad`` (fractional), cell
-        equal to the longest expanded extent divided by 2^depth."""
+    def fit(cls, points: np.ndarray, depth: int = 16) -> "Quantizer":
+        """Bounding-box quantizer: box expanded by ``_FIT_PAD`` (fractional),
+        cell equal to the longest expanded extent divided by 2^depth."""
+        _check_depth(depth)
         points = np.asarray(points, dtype=np.float64)
         if points.size == 0:
             raise InputError("cannot fit a quantizer to an empty point set")
@@ -120,9 +125,9 @@ class Quantizer:
         span = float(extent.max())
         if span <= 0.0:
             span = 1.0
-        margin = 0.5 * pad * np.maximum(extent, span * 1e-12)
+        margin = 0.5 * _FIT_PAD * np.maximum(extent, span * 1e-12)
         origin = lo - margin
-        cell = span * (1.0 + pad) / (1 << depth)
+        cell = span * (1.0 + _FIT_PAD) / (1 << depth)
         return cls(origin, cell, depth)
 
     def quantize(self, points: np.ndarray) -> np.ndarray:

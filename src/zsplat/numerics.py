@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.special import erf
+from scipy.special import expit as sigmoid
 
 from .errors import InputError, NumericError, ShapeError
 
@@ -95,15 +96,6 @@ def segment_sum(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     indicator = csr_array((np.ones(n, x.dtype), np.arange(n), np.append(starts, n)),
                           shape=(len(starts), n))
     return indicator @ x
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.result_type(x, np.float32))
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

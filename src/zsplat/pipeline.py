@@ -48,9 +48,8 @@ class LevelOutput:
 
 
 def init_model(cfg: RunConfig) -> ModelParams:
-    acfg = cfg.attention_config()
     blocks = tuple(
-        ZFormerParams.init(acfg, derive_seed(cfg.seed, f"block{i}"))
+        ZFormerParams.init(cfg, derive_seed(cfg.seed, f"block{i}"))
         for i in range(cfg.n_blocks)
     )
     head = HeadParams.init(cfg.model_width, cfg.head_hidden, derive_seed(cfg.seed, "head"))
@@ -69,20 +68,18 @@ def make_quantizer(points: np.ndarray, cfg: RunConfig) -> Quantizer:
     return Quantizer(origin, cfg.cell, cfg.serialize_depth)
 
 
-def forward_scene(rep: PointRepresentation, cfg: RunConfig, model: ModelParams,
-                  quantizer: Quantizer | None = None):
+def forward_scene(rep: PointRepresentation, cfg: RunConfig, model: ModelParams):
     """Run every block, coarsening the grid between them.
 
     Returns the per-level outputs, finest first. The offset scale defaults to
     two coarse cells of the grid the level was pooled onto.
     """
-    acfg = cfg.attention_config()
-    quant = quantizer if quantizer is not None else make_quantizer(rep.positions, cfg)
+    quant = make_quantizer(rep.positions, cfg)
     levels = []
     current = rep
     for block_params in model.blocks:
-        current, codes = zformer_block(current, quant, block_params, acfg)
-        coarse = quant.coarsen(acfg.pool_levels)
+        current, codes = zformer_block(current, quant, block_params, cfg)
+        coarse = quant.coarsen(cfg.pool_levels)
         offset = (
             cfg.offset_scale if cfg.offset_scale is not None else 2.0 * coarse.cell
         )
@@ -110,7 +107,8 @@ def _named_layers(model: ModelParams) -> dict:
     return layers
 
 
-def save_checkpoint(model: ModelParams, path) -> None:
+def save_checkpoint(model: ModelParams, path) -> int:
+    """Write every layer and the manifest; returns the number of layers."""
     os.makedirs(path, exist_ok=True)
     layers = _named_layers(model)
     manifest = {
@@ -130,6 +128,7 @@ def save_checkpoint(model: ModelParams, path) -> None:
     with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+    return len(layers)
 
 
 def _read_layer(path, entry: dict, name: str) -> LinearLayer:

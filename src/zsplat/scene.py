@@ -263,7 +263,7 @@ class Gaussians:
         for name, arr, shape in checks:
             if arr.shape != shape:
                 raise ValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
-            bad = ~np.isfinite(arr).reshape(m, -1).all(axis=1)
+            bad = ~np.isfinite(arr).reshape(m, math.prod(shape[1:])).all(axis=1)
             if bad.any():
                 raise ValidationError(f"{name}: non-finite at index {int(bad.argmax())}")
         bad = (self.opacities <= 0.0) | (self.opacities >= 1.0)
@@ -397,6 +397,8 @@ _PLY_FIELDS = (
     + [f"scale_{i}" for i in range(3)]
     + [f"rot_{i}" for i in range(4)]
 )
+# first column of the normals, SH, opacity, scales and rotations
+_PLY_SPLITS = [3, 6, 33, 34, 37]
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -412,25 +414,24 @@ def write_gaussians_ply(path, gaussians: Gaussians) -> None:
     """
     gaussians.validate()
     m = len(gaussians)
-    dtype = np.dtype([(name, "<f4") for name in _PLY_FIELDS])
-    rec = np.zeros(m, dtype=dtype)
-    for i, axis in enumerate("xyz"):
-        rec[axis] = gaussians.centers[:, i]
-    for i in range(3):
-        rec[f"f_dc_{i}"] = gaussians.sh[:, i]
-    for i in range(24):
-        rec[f"f_rest_{i}"] = gaussians.sh[:, 3 + i]
-    rec["opacity"] = _logit(gaussians.opacities)
-    for i in range(3):
-        rec[f"scale_{i}"] = np.log(gaussians.scales[:, i])
-    for i in range(4):
-        rec[f"rot_{i}"] = gaussians.rotations[:, i]
+    rows = np.concatenate(
+        [
+            gaussians.centers,
+            np.zeros((m, 3)),
+            gaussians.sh,
+            _logit(gaussians.opacities)[:, None],
+            np.log(gaussians.scales),
+            gaussians.rotations,
+        ],
+        axis=1,
+        dtype="<f4",
+    )
     header_lines = ["ply", "format binary_little_endian 1.0", f"element vertex {m}"]
     header_lines += [f"property float {name}" for name in _PLY_FIELDS]
     header_lines.append("end_header")
     with open(path, "wb") as fh:
         fh.write(("\n".join(header_lines) + "\n").encode("ascii"))
-        fh.write(rec.tobytes())
+        fh.write(rows.tobytes())
 
 
 def read_gaussians_ply(path) -> Gaussians:
@@ -473,23 +474,16 @@ def read_gaussians_ply(path) -> Gaussians:
             offset=0,
         )
     payload = blob[end + len(end_tag) :]
-    dtype = np.dtype([(name, "<f4") for name in _PLY_FIELDS])
-    expected = count * dtype.itemsize
+    expected = count * 4 * len(_PLY_FIELDS)
     if len(payload) != expected:
         raise FormatError(
             f"payload holds {len(payload)} bytes, header implies {expected}",
             offset=end + len(end_tag) + min(len(payload), expected),
         )
-    rec = np.frombuffer(payload, dtype=dtype)
-    centers = np.stack([rec[a] for a in "xyz"], axis=1).astype(np.float64)
-    sh = np.stack(
-        [rec[f"f_dc_{i}"] for i in range(3)]
-        + [rec[f"f_rest_{i}"] for i in range(24)],
-        axis=1,
-    ).astype(np.float64)
-    opacities = 1.0 / (1.0 + np.exp(-rec["opacity"].astype(np.float64)))
-    scales = np.exp(
-        np.stack([rec[f"scale_{i}"] for i in range(3)], axis=1).astype(np.float64)
+    rows = np.frombuffer(payload, dtype="<f4").reshape(count, len(_PLY_FIELDS))
+    centers, _, sh, opacity, log_scales, rotations = np.split(
+        rows.astype(np.float64), _PLY_SPLITS, axis=1
     )
-    rotations = np.stack([rec[f"rot_{i}"] for i in range(4)], axis=1).astype(np.float64)
+    opacities = 1.0 / (1.0 + np.exp(-opacity[:, 0]))
+    scales = np.exp(log_scales)
     return Gaussians(centers, opacities, rotations, scales, sh)

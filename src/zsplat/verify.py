@@ -40,7 +40,7 @@ def run_morton_suite():
     # exercising every magic-mask stage
     ok = True
     detail = ""
-    for depth in (1, 4, 9, 16, 21):
+    for depth in (1, 4, 9, 16, morton.MAX_DEPTH):
         vals = (uniform01(depth, 3 * 64) * (1 << depth)).astype(np.int64).reshape(-1, 3)
         got = morton.encode_array(vals, depth)
         for row, code in zip(vals, got):

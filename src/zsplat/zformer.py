@@ -23,7 +23,7 @@ frozen (no gradient through the ranking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from zsplat import cli, errors
 from zsplat.cli import main
 from zsplat.scene import read_gaussians_ply, read_tensor, write_tensor
 
@@ -143,8 +144,18 @@ def test_depth_out_of_range_exits_3(tmp_path):
     scene = _gen(tmp_path)
     assert main(["serialize", "--scene", str(scene),
                  "--out", str(tmp_path / "c.tns"), "--depth", "25"]) == 3
-    assert main(["select-views", "--scene", str(scene), "--max-views", "1",
-                 "--depth", "0"]) == 3
+    for depth in ("0", "-1", "22", "1000000"):
+        assert main(["select-views", "--scene", str(scene), "--max-views", "1",
+                     "--depth", depth]) == 3
+
+
+def test_init_checkpoint_reports_the_layers_it_saved(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "cfg.json", n_blocks=3)
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    saved = json.loads((ckpt / "manifest.json").read_text())["params"]
+    assert len(saved) == 20
+    assert f"initialized {len(saved)} layers" in capsys.readouterr().out
 
 
 def test_checkpoint_mismatch_exits_4(tmp_path):
@@ -223,6 +234,46 @@ def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, field):
     cfg = _write_cfg(tmp_path / "cfg.json", **field)
     assert main(["init-checkpoint", "--out", str(tmp_path / "ckpt"), "--config", cfg]) == 2
     assert next(iter(field)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-scene", "init-checkpoint"])
+def test_directory_given_as_a_config_file_exits_2(tmp_path, capsys, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "out"
+    flag = "--scene-config" if command == "gen-scene" else "--config"
+    assert main([command, "--out", str(out), flag, str(folder)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+# every ZsplatError subclass and the exit code errors.py documents for it
+DOCUMENTED_EXIT_CODES = {
+    errors.ShapeError: 2,
+    errors.InputError: 2,
+    errors.RangeError: 3,
+    errors.ConfigError: 2,
+    errors.NumericError: 2,
+    errors.FormatError: 2,
+    errors.CheckpointError: 4,
+    errors.ValidationError: 2,
+}
+
+
+def test_exit_code_table_covers_every_error_class():
+    assert set(DOCUMENTED_EXIT_CODES) == set(errors.ZsplatError.__subclasses__())
+
+
+@pytest.mark.parametrize("error, code", DOCUMENTED_EXIT_CODES.items(),
+                         ids=[e.__name__ for e in DOCUMENTED_EXIT_CODES])
+def test_each_error_class_exits_with_its_documented_code(tmp_path, capsys, monkeypatch,
+                                                        error, code):
+    def fail(overrides):
+        raise error("planted failure")
+
+    monkeypatch.setattr(cli, "generate_scene", fail)
+    assert main(["gen-scene", "--out", str(tmp_path / "s")]) == code
+    assert capsys.readouterr().err == "error: planted failure\n"
 
 
 def test_demo_script_writes_a_ply_per_level(tmp_path):

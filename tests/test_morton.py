@@ -149,6 +149,9 @@ def test_quantizer_rejects_bad_construction():
         morton.Quantizer(np.zeros(3), 1.0, 4).quantize(np.array([np.nan, 0, 0]))
     with pytest.raises(InputError):
         morton.Quantizer.fit(np.zeros((0, 3)), 4)
+    for depth in (-1, 0, 22, 10**6):  # the depth is checked before the points
+        with pytest.raises(RangeError, match="depth must be in"):
+            morton.Quantizer.fit(np.zeros((0, 3)), depth)
 
 
 def _random_rep(n, seed):

@@ -299,6 +299,15 @@ def test_ply_roundtrip_within_float32(tmp_path):
     assert np.allclose(g2.sh, g.sh, atol=1e-6)
 
 
+def test_ply_roundtrip_of_zero_gaussians(tmp_path):
+    g = _valid_gaussians(0)
+    path = tmp_path / "g.ply"
+    scene.write_gaussians_ply(path, g)
+    assert path.read_bytes().endswith(b"end_header\n")
+    g2 = scene.read_gaussians_ply(path)
+    assert len(g2) == 0 and g2.sh.shape == (0, 27) and g2.rotations.shape == (0, 4)
+
+
 def test_ply_opacity_stored_as_logit(tmp_path):
     g = _valid_gaussians(4)
     g = scene.Gaussians(
