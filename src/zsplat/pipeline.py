@@ -131,16 +131,21 @@ def save_checkpoint(model: ModelParams, path) -> int:
     return len(layers)
 
 
-def _read_layer(path, entry: dict, name: str) -> LinearLayer:
-    weight = read_tensor(os.path.join(path, entry["weight"]))
-    bias = read_tensor(os.path.join(path, entry["bias"]))
+def _read_layer(path, entry, name: str) -> LinearLayer:
+    if not isinstance(entry, dict):
+        raise CheckpointError(f"{name}: manifest entry must be a JSON object")
+    files = [entry.get("weight"), entry.get("bias")]
+    if not all(isinstance(f, str) for f in files):
+        raise CheckpointError(f"{name}: weight and bias must name files, got {files}")
+    seed = entry.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise CheckpointError(f"{name}: seed must be an integer, got {seed!r}")
+    weight, bias = [read_tensor(os.path.join(path, f)) for f in files]
     if weight.ndim != 2 or bias.shape != (weight.shape[0],):
         raise CheckpointError(
             f"{name}: weight {weight.shape} and bias {bias.shape} do not align"
         )
-    return LinearLayer(
-        weight.astype(np.float32), bias.astype(np.float32), int(entry.get("seed", 0))
-    )
+    return LinearLayer(weight.astype(np.float32), bias.astype(np.float32), seed)
 
 
 def load_checkpoint(path, cfg: RunConfig) -> ModelParams:
@@ -151,11 +156,15 @@ def load_checkpoint(path, cfg: RunConfig) -> ModelParams:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError("manifest must be a JSON object")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unrecognized checkpoint format {manifest.get('format')!r}")
     entries = manifest.get("params", {})
+    if not isinstance(entries, dict):
+        raise CheckpointError("manifest params must be a JSON object")
     expected = _named_layers(init_model(cfg))
     missing = sorted(set(expected) - set(entries))
     extra = sorted(set(entries) - set(expected))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 from dataclasses import dataclass, replace
 
@@ -24,6 +25,9 @@ from .errors import FormatError, InputError, ValidationError
 
 # ---------------------------------------------------------------------------
 # cameras
+
+_LAST_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+_LAST_ROW_TOL = 1e-9 + 1e-5 * np.abs(_LAST_ROW)
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,8 @@ class Camera:
             raise InputError(f"cam_to_world must be 4x4, got {m.shape}")
         if not np.isfinite(m).all():
             raise InputError("cam_to_world contains non-finite values")
-        if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9):
+        # np.allclose(m[3], _LAST_ROW, atol=1e-9) for a matrix already finite
+        if not (np.abs(m[3] - _LAST_ROW) <= _LAST_ROW_TOL).all():
             raise InputError("cam_to_world last row must be [0, 0, 0, 1]")
         object.__setattr__(self, "cam_to_world", m)
 
@@ -108,7 +113,9 @@ def unproject(depth: np.ndarray, camera: Camera) -> np.ndarray:
     if depth.size and depth.min() < 0:
         raise InputError("depth map contains negative values")
     h, w = depth.shape
-    v, u = np.mgrid[0:h, 0:w].astype(np.float64)
+    # pixel coordinates broadcast over the rows and columns of the map
+    u = np.arange(w, dtype=np.float64)
+    v = np.arange(h, dtype=np.float64)[:, None]
     z = depth
     x_cam = (u - camera.cx) / camera.fx * z
     y_cam = (v - camera.cy) / camera.fy * z
@@ -289,6 +296,7 @@ class Gaussians:
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+_HEADER_LIMIT = 65536  # the header line, newline included, fits in this
 
 
 def write_tensor(path, array: np.ndarray) -> None:
@@ -305,15 +313,18 @@ def write_tensor(path, array: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(array, dtype=_DTYPES[name]).tobytes())
 
 
-def read_tensor(path) -> np.ndarray:
-    """Read a tensor container; FormatError carries the failing byte offset."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    nl = blob.find(b"\n", 0, 65536)
-    if nl < 0:
-        raise FormatError("missing header newline", offset=min(len(blob), 65536))
+def _read_header(fh):
+    """Check a tensor container's header against the file's size.
+
+    Returns (dtype, shape, payload offset) and leaves ``fh`` at the payload;
+    FormatError carries the failing byte offset.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    line = fh.readline(_HEADER_LIMIT)
+    if not line.endswith(b"\n"):
+        raise FormatError("missing header newline", offset=min(size, _HEADER_LIMIT))
     try:
-        header = json.loads(blob[:nl].decode("utf-8"))
+        header = json.loads(line[:-1].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad header JSON: {exc}", offset=0) from exc
     if not isinstance(header, dict):
@@ -329,14 +340,43 @@ def read_tensor(path) -> np.ndarray:
         raise FormatError(f"bad shape {shape!r}", offset=0)
     dtype = _DTYPES[dtype_name]
     # python ints: an int64 product of huge dimensions can wrap to 0
-    expected = math.prod(shape) * dtype.itemsize
-    payload = blob[nl + 1 :]
-    if len(payload) != expected:
+    _check_payload(size - len(line), math.prod(shape) * dtype.itemsize, len(line))
+    return dtype, shape, len(line)
+
+
+def _check_payload(have: int, expected: int, start: int) -> None:
+    if have != expected:
         raise FormatError(
-            f"payload holds {len(payload)} bytes, header implies {expected}",
-            offset=nl + 1 + min(len(payload), expected),
+            f"payload holds {have} bytes, header implies {expected}",
+            offset=start + min(have, expected),
         )
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+
+
+def read_tensor(path) -> np.ndarray:
+    """Read a tensor container into a new array that owns its data;
+    FormatError carries the failing byte offset."""
+    with open(path, "rb") as fh:
+        dtype, shape, start = _read_header(fh)
+        array = np.empty(shape, dtype)
+        # a file shortened since the size check reads short
+        _check_payload(fh.readinto(array), array.nbytes, start)
+    return array
+
+
+def map_tensor(path) -> np.ndarray:
+    """Map a tensor container's payload copy-on-write, with the checks of
+    :func:`read_tensor`.
+
+    Pages are read when first touched, and writes to the array never reach
+    the file. The mapping holds one open descriptor until the array and
+    every view of it are gone; truncating the file in place meanwhile makes
+    a later access fault (SIGBUS), while replacing it with ``os.replace``
+    is safe.
+    """
+    with open(path, "rb") as fh:
+        dtype, shape, start = _read_header(fh)
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    return np.frombuffer(mapped, dtype, math.prod(shape), start).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +396,12 @@ def write_scene_dir(path, views) -> None:
 
 
 def load_view_dir(vdir):
+    """Read depth, camera and colors; map the features, which are most of a
+    view's bytes and which a request reads only for the views it selects."""
     depth = read_tensor(os.path.join(vdir, "depth.tns"))
     camera = read_camera(os.path.join(vdir, "camera.json"))
     colors = read_tensor(os.path.join(vdir, "color.tns"))
-    features = read_tensor(os.path.join(vdir, "feature.tns"))
+    features = map_tensor(os.path.join(vdir, "feature.tns"))
     return depth, camera, colors, features
 
 

@@ -26,8 +26,12 @@ class ViewCandidate:
 
     def __post_init__(self):
         keys = self.coverage_keys
-        keys = keys if isinstance(keys, np.ndarray) else list(keys)
-        object.__setattr__(self, "coverage_keys", np.unique(keys))
+        keys = np.sort(np.ravel(keys if isinstance(keys, np.ndarray) else list(keys)))
+        # np.unique's own mask, without its per-call overhead
+        distinct = np.empty(len(keys), dtype=bool)
+        distinct[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        object.__setattr__(self, "coverage_keys", keys[distinct])
 
 
 @dataclass(frozen=True)

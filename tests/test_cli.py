@@ -171,6 +171,38 @@ def test_checkpoint_mismatch_exits_4(tmp_path):
                  "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 4
 
 
+def _set_first_entry(manifest, key, value):
+    name = sorted(manifest["params"])[0]
+    if key is None:
+        manifest["params"][name] = value
+    else:
+        manifest["params"][name][key] = value
+    return json.dumps(manifest).encode()
+
+
+MALFORMED_MANIFESTS = {
+    "not-utf8": lambda m: b"\xff\xfe{",
+    "json-list": lambda m: b"[1]",
+    "string-entry": lambda m: _set_first_entry(m, None, "block0__wq.weight.tns"),
+    "string-seed": lambda m: _set_first_entry(m, "seed", "abc"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
+def test_malformed_manifest_exits_4(tmp_path, capsys, case):
+    scene = _gen(tmp_path)
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    (ckpt / "manifest.json").write_bytes(MALFORMED_MANIFESTS[case](manifest))
+    capsys.readouterr()
+    assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_feature_width_mismatch_exits_2(tmp_path):
     scene = _gen(tmp_path, width=16)
     cfg = _write_cfg(tmp_path / "cfg.json")

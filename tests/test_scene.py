@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 
@@ -48,6 +49,35 @@ def test_project_inverts_unproject_under_rotation(angle, seed):
     assert np.allclose(uvz[:, 0], u.ravel(), atol=1e-9)
     assert np.allclose(uvz[:, 1], v.ravel(), atol=1e-9)
     assert np.allclose(uvz[:, 2], depth.ravel(), atol=1e-9)
+
+
+def _unproject_mgrid(depth, camera):
+    """The mgrid form of unproject's pixel grid, kept as its oracle."""
+    h, w = depth.shape
+    v, u = np.mgrid[0:h, 0:w].astype(np.float64)
+    x_cam = (u - camera.cx) / camera.fx * depth
+    y_cam = (v - camera.cy) / camera.fy * depth
+    pts_cam = np.stack([x_cam, y_cam, depth], axis=-1).reshape(-1, 3)
+    return pts_cam @ camera.rotation.T + camera.position
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=9),
+)
+@settings(max_examples=40, deadline=None)
+def test_unproject_matches_the_mgrid_formula_bit_for_bit(seed, h, w):
+    vals = uniform01(seed, 10 + h * w)
+    mat = _rotation_about_y(6.0 * vals[0] - 3.0)
+    mat[:3, 3] = 4.0 * vals[1:4] - 2.0
+    cam = scene.Camera(10.0 + 90.0 * vals[4], 10.0 + 90.0 * vals[5],
+                       w * vals[6], h * vals[7], mat)
+    depth = 5.0 * vals[10:].reshape(h, w)
+    got = scene.unproject(depth, cam)
+    want = _unproject_mgrid(depth, cam)
+    assert got.shape == want.shape == (h * w, 3)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_unproject_rejects_bad_depth():
@@ -249,6 +279,86 @@ def test_tensor_container_rejects_shape_whose_int64_product_wraps(tmp_path):
         scene.read_tensor(path)
 
 
+# every malformed case of test_tensor_container_format_errors_carry_offsets,
+# plus a few more, with the message and byte offset both readers must report
+_MALFORMED_TENSORS = [
+    (b"no newline here", "missing header newline", 15),
+    (b"x" * 70000, "missing header newline", 65536),
+    (b"", "missing header newline", 0),
+    (b'{"dtype": "f32", "shape": [4]}\n' + b"\x00" * 7,
+     "payload holds 7 bytes, header implies 16", 38),
+    (b'{"dtype": "f64", "shape": [2]}\n' + b"\x00" * 17,
+     "payload holds 17 bytes, header implies 16", 47),
+    (b'{"dtype": "i8", "shape": [1]}\n\x00', "unsupported dtype 'i8'", 0),
+    (b'{"dtype": "f32", "shape": [-1]}\n', "bad shape [-1]", 0),
+    (b"]]]garbage\n", "bad header JSON: Expecting value: line 1 column 1 (char 0)", 0),
+    (b"\xff\n", "bad header JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte", 0),
+    (b"[1]\n", "header must be a JSON object", 0),
+    (b'{"dtype": "f32", "shape": [4294967296, 4294967296]}\n',
+     "payload holds 0 bytes, header implies 73786976294838206464", 52),
+]
+
+
+@pytest.mark.parametrize("reader", [scene.read_tensor, scene.map_tensor])
+@pytest.mark.parametrize("blob,message,offset", _MALFORMED_TENSORS)
+def test_both_tensor_readers_report_the_same_format_errors(tmp_path, reader, blob,
+                                                           message, offset):
+    path = tmp_path / "bad.tns"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        reader(path)
+    assert type(err.value) is FormatError
+    assert str(err.value) == f"{message} (byte offset {offset})"
+    assert err.value.offset == offset
+
+
+def test_read_tensor_returns_an_aligned_array_owning_its_data(tmp_path):
+    # the 34-byte header puts the float64 payload off an 8-byte boundary
+    arr = uniform01(3, 12).reshape(3, 4)
+    path = tmp_path / "a.tns"
+    scene.write_tensor(path, arr)
+    back = scene.read_tensor(path)
+    assert back.flags.owndata and back.flags.aligned and back.flags.c_contiguous
+    assert back.flags.writeable
+    assert back.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("reader", [scene.read_tensor, scene.map_tensor])
+@pytest.mark.parametrize("shape", [(0,), (0, 96), (4, 0, 3)])
+def test_zero_size_payloads_in_both_readers(tmp_path, reader, shape):
+    path = tmp_path / "empty.tns"
+    scene.write_tensor(path, np.zeros(shape, dtype=np.float32))
+    back = reader(path)
+    assert back.shape == shape and back.dtype == np.float32
+
+
+def test_writing_into_a_mapped_array_leaves_the_file_unchanged(tmp_path):
+    path = tmp_path / "f.tns"
+    scene.write_tensor(path, uniform01(4, 40).reshape(8, 5).astype(np.float32))
+    before = path.read_bytes()
+    mapped = scene.map_tensor(path)
+    assert mapped.flags.writeable
+    mapped[:] = -1.0
+    assert np.all(mapped == -1.0)
+    assert path.read_bytes() == before
+    assert np.array_equal(scene.map_tensor(path), scene.read_tensor(path))
+
+
+def test_loaded_features_survive_a_file_replaced_after_loading(tmp_path):
+    views = synthetic.generate_scene({"resolution": [8, 8], "n_views": 2, "feature_width": 5})
+    scene.write_scene_dir(tmp_path / "scene", views)
+    loaded = scene.load_scene_dir(tmp_path / "scene")
+    before = [np.array(v[3]) for v in loaded]
+    for i in range(2):
+        fresh = tmp_path / f"fresh_{i}.tns"
+        scene.write_tensor(fresh, np.full((64, 5), 7.0, dtype=np.float32))
+        os.replace(fresh, tmp_path / "scene" / f"view_{i}" / "feature.tns")
+    for (_, _, _, features), want in zip(loaded, before):
+        assert np.array_equal(features, want)
+    assert np.all(scene.load_scene_dir(tmp_path / "scene")[0][3] == 7.0)
+
+
 # ---------------------------------------------------------------------------
 # gaussian PLY
 
@@ -398,6 +508,24 @@ def test_load_scene_dir_requires_views(tmp_path):
     os.makedirs(tmp_path / "empty")
     with pytest.raises(InputError):
         scene.load_scene_dir(tmp_path / "empty")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_loaded_views_hold_at_most_one_descriptor_each(tmp_path):
+    n_views = 6
+    views = synthetic.generate_scene({"resolution": [8, 8], "n_views": n_views})
+    scene.write_scene_dir(tmp_path / "scene", views)
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    base = open_fds()
+    loaded = scene.load_scene_dir(tmp_path / "scene")
+    assert len(loaded) == n_views
+    assert open_fds() - base <= n_views
+    del loaded
+    gc.collect()
+    assert open_fds() == base
 
 
 def test_load_scene_dir_rejects_non_numeric_view_name(tmp_path):

@@ -115,6 +115,30 @@ def test_greedy_meets_approximation_guarantee(seed, budget):
     assert greedy.covered >= (1 - 1 / np.e) * optimal - 1e-9
 
 
+@given(
+    st.sampled_from([np.int64, np.uint64]),
+    st.lists(st.integers(min_value=0, max_value=40), max_size=60),
+    st.sampled_from(["array", "list", "tuple"]),
+    st.integers(min_value=0, max_value=2**62),
+)
+@settings(max_examples=150, deadline=None)
+def test_coverage_keys_normalize_like_np_unique(dtype, small, form, spread):
+    # small values make duplicates likely; the spread puts some near 2^63
+    keys = np.array(small, dtype=dtype) * dtype(1 + spread % 7) + dtype(spread)
+    given_keys = {"array": keys, "list": keys.tolist(), "tuple": tuple(keys)}[form]
+    got = vs.ViewCandidate(0, given_keys).coverage_keys
+    want = np.unique(given_keys)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("empty", [(), [], np.array([], dtype=np.uint64)])
+def test_coverage_keys_of_empty_input_match_np_unique(empty):
+    got = vs.ViewCandidate(0, empty).coverage_keys
+    want = np.unique(empty)
+    assert got.dtype == want.dtype and got.shape == want.shape == (0,)
+
+
 def test_build_candidates_quantizes_points_per_view():
     q = Quantizer(origin=np.zeros(3), cell=1.0, depth=4)
     view_a = np.array([[0.2, 0.2, 0.2], [0.8, 0.3, 0.1], [3.5, 0.0, 0.0]])
