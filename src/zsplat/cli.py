@@ -25,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, FormatError, InputError, RangeError, ZsplatError
+from .errors import ConfigError, InputError, RangeError, ZsplatError
 from .morton import MAX_DEPTH, Quantizer, sort_by_code
 from .pipeline import (
     forward_scene,
@@ -38,6 +38,7 @@ from .pipeline import (
 from .scene import (
     assemble,
     load_scene_dir,
+    read_json_object,
     unproject,
     write_gaussians_ply,
     write_scene_dir,
@@ -76,13 +77,7 @@ def _parse_resolution(text: str):
 def cmd_gen_scene(args) -> int:
     overrides = {}
     if args.scene_config:
-        with open(args.scene_config, "r", encoding="utf-8") as fh:
-            try:
-                overrides = json.load(fh)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise FormatError(f"{args.scene_config}: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"{args.scene_config}: scene config must be a JSON object")
+        overrides = read_json_object(args.scene_config, "scene config", ConfigError)
     if args.kind:
         overrides["kind"] = args.kind
     if args.views is not None:

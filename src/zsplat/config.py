@@ -5,13 +5,13 @@ are rejected rather than ignored so config typos fail loudly."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 from .errors import ConfigError
 from .morton import MAX_DEPTH
+from .scene import read_json_object
 from .zformer import AttentionConfig
 
 # accepted value types per field annotation
@@ -86,11 +86,4 @@ class RunConfig(AttentionConfig):
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_object(path, "config", ConfigError))

@@ -23,7 +23,7 @@ from .errors import CheckpointError
 from .gaussian_head import HeadParams, predict
 from .morton import Quantizer
 from .numerics import LinearLayer, derive_seed
-from .scene import PointRepresentation, read_tensor, write_tensor
+from .scene import PointRepresentation, read_json_object, read_tensor, write_tensor
 from .zformer import ZFormerParams, zformer_block
 
 CHECKPOINT_FORMAT = "zsplat-checkpoint"
@@ -153,13 +153,7 @@ def load_checkpoint(path, cfg: RunConfig) -> ModelParams:
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.exists(manifest_path):
         raise CheckpointError(f"no manifest.json under {path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise CheckpointError("manifest must be a JSON object")
+    manifest = read_json_object(manifest_path, "manifest", CheckpointError)
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unrecognized checkpoint format {manifest.get('format')!r}")
     entries = manifest.get("params", {})

@@ -42,10 +42,10 @@ def dense_attention_reference(f: np.ndarray, params: ZFormerParams,
     q = linear(f, params.w_q)
     k = linear(f, params.w_k)
     v = linear(f, params.w_v)
-    slices, dh = _head_slices(cfg)
+    slices, _ = _head_slices(cfg)
     tok = np.empty_like(q)
     for hs in slices:
-        scores = q[:, hs] @ k[:, hs].T / np.sqrt(dh)
+        scores = q[:, hs] @ k[:, hs].T / np.sqrt(hs.stop - hs.start)
         probs = softmax_rows(scores)
         tok[:, hs] = probs @ v[:, hs]
     return linear(tok, params.w_o)
@@ -72,7 +72,7 @@ def topk_gather_reference(f: np.ndarray, params: ZFormerParams,
     n = f.shape[0]
     counts = _block_counts(n, cfg.block_len)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    slices, dh = _head_slices(cfg)
+    slices, _ = _head_slices(cfg)
     tok = np.empty_like(q)
     for b in range(len(counts)):
         idx = np.concatenate(
@@ -80,7 +80,7 @@ def topk_gather_reference(f: np.ndarray, params: ZFormerParams,
         )
         for t in range(int(starts[b]), int(starts[b] + counts[b])):
             for hs in slices:
-                scores = k[idx, hs] @ q[t, hs] / np.sqrt(dh)
+                scores = k[idx, hs] @ q[t, hs] / np.sqrt(hs.stop - hs.start)
                 scores -= scores.max()
                 e = np.exp(scores)
                 probs = e / e.sum()

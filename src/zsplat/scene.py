@@ -18,10 +18,37 @@ import math
 import mmap
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import FormatError, InputError, ValidationError
+from .numerics import sigmoid
+
+# ---------------------------------------------------------------------------
+# JSON
+
+
+def decode_json_object(data: bytes, what: str, error) -> dict:
+    """Decode UTF-8 JSON ``data`` that must hold an object. Bytes that are
+    not UTF-8 JSON, nesting past the recursion limit, an integer past the
+    digit limit and a non-object each raise ``error(message)``."""
+    try:
+        value = json.loads(data.decode("utf-8"))
+    # UnicodeDecodeError, JSONDecodeError and the digit limit are ValueErrors
+    except (ValueError, RecursionError) as exc:
+        raise error(f"bad {what} JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object")
+    return value
+
+
+def read_json_object(path, what: str, error) -> dict:
+    """:func:`decode_json_object` on a file's bytes, messages prefixed by its path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return decode_json_object(data, what, lambda message: error(f"{path}: {message}"))
+
 
 # ---------------------------------------------------------------------------
 # cameras
@@ -41,6 +68,9 @@ class Camera:
     cam_to_world: np.ndarray  # (4, 4) float64
 
     def __post_init__(self):
+        intrinsics = (self.fx, self.fy, self.cx, self.cy)
+        if not all(map(math.isfinite, intrinsics)):
+            raise InputError(f"intrinsics must be finite, got {intrinsics}")
         if not (self.fx > 0 and self.fy > 0):
             raise InputError(f"focal lengths must be positive, got {self.fx}, {self.fy}")
         m = np.asarray(self.cam_to_world, dtype=np.float64)
@@ -76,7 +106,7 @@ class Camera:
             fx, fy = float(data["fx"]), float(data["fy"])
             cx, cy = float(data["cx"]), float(data["cy"])
             mat = np.asarray(data["cam_to_world"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad camera record: {exc}") from exc
         if mat.shape != (16,):
             raise FormatError(f"cam_to_world must hold 16 numbers, got shape {mat.shape}")
@@ -84,12 +114,7 @@ class Camera:
 
 
 def read_camera(path) -> Camera:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: invalid camera JSON: {exc}") from exc
-    return Camera.from_dict(data)
+    return Camera.from_dict(read_json_object(path, "camera", FormatError))
 
 
 def write_camera(path, camera: Camera) -> None:
@@ -323,12 +348,7 @@ def _read_header(fh):
     line = fh.readline(_HEADER_LIMIT)
     if not line.endswith(b"\n"):
         raise FormatError("missing header newline", offset=min(size, _HEADER_LIMIT))
-    try:
-        header = json.loads(line[:-1].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"bad header JSON: {exc}", offset=0) from exc
-    if not isinstance(header, dict):
-        raise FormatError("header must be a JSON object", offset=0)
+    header = decode_json_object(line[:-1], "header", partial(FormatError, offset=0))
     dtype_name = header.get("dtype")
     if dtype_name not in _DTYPES:
         raise FormatError(f"unsupported dtype {dtype_name!r}", offset=0)
@@ -515,17 +535,13 @@ def read_gaussians_ply(path) -> Gaussians:
             f"vertex properties differ from the Gaussian layout (got {len(props)})",
             offset=0,
         )
-    payload = blob[end + len(end_tag) :]
-    expected = count * 4 * len(_PLY_FIELDS)
-    if len(payload) != expected:
-        raise FormatError(
-            f"payload holds {len(payload)} bytes, header implies {expected}",
-            offset=end + len(end_tag) + min(len(payload), expected),
-        )
+    start = end + len(end_tag)
+    payload = blob[start:]
+    _check_payload(len(payload), count * 4 * len(_PLY_FIELDS), start)
     rows = np.frombuffer(payload, dtype="<f4").reshape(count, len(_PLY_FIELDS))
     centers, _, sh, opacity, log_scales, rotations = np.split(
         rows.astype(np.float64), _PLY_SPLITS, axis=1
     )
-    opacities = 1.0 / (1.0 + np.exp(-opacity[:, 0]))
+    opacities = sigmoid(opacity[:, 0])
     scales = np.exp(log_scales)
     return Gaussians(centers, opacities, rotations, scales, sh)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, RangeError
-from .morton import Quantizer, decode_array, sort_by_code
+from .morton import Quantizer, decode_array, shift_array, sort_by_code
 from .numerics import (
     LinearLayer,
     derive_seed,
@@ -177,8 +177,10 @@ def _unpool(g_blocks: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _head_slices(cfg: AttentionConfig):
+    """Per-head column slices and the score scale 1/sqrt(head width), a python
+    float so float32 inputs stay float32."""
     dh = cfg.head_width // cfg.n_heads
-    return [slice(h * dh, (h + 1) * dh) for h in range(cfg.n_heads)], dh
+    return [slice(h * dh, (h + 1) * dh) for h in range(cfg.n_heads)], dh ** -0.5
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +199,7 @@ def group_attention_fwd(f: np.ndarray, qkv: np.ndarray, params: ZFormerParams,
     counts = _block_counts(f.shape[0], cfg.block_len)
     pooled = block_pool(qkv, cfg.block_len)
     qb, kb, vb = np.split(pooled, 3, axis=1)
-    slices, dh = _head_slices(cfg)
-    scale = dh ** -0.5  # python float: keeps float32 inputs in float32
+    slices, scale = _head_slices(cfg)
     probs = []
     block_out = np.empty_like(qb)
     for hs in slices:
@@ -292,8 +293,7 @@ def _topk_loop_fwd(q, k, v, selection, counts, cfg):
     block's softmax. It builds the gradient cache and is the oracle the
     chunked kernel is checked against."""
     starts = _starts(counts)
-    slices, dh = _head_slices(cfg)
-    scale = dh ** -0.5  # python float: keeps float32 inputs in float32
+    slices, scale = _head_slices(cfg)
     tok_out = np.empty_like(q)
     blocks = []
     for i in range(len(counts)):
@@ -330,8 +330,7 @@ def _topk_chunked(q, k, v, selection, cfg):
     block_len = cfg.block_len
     n_blocks = -(-n // block_len)
     pad = n_blocks * block_len - n
-    slices, dh = _head_slices(cfg)
-    scale = dh ** -0.5  # python float: keeps float32 inputs in float32
+    slices, scale = _head_slices(cfg)
     q_blocks, k_blocks, v_blocks = (
         np.pad(x, ((0, pad), (0, 0))).reshape(n_blocks, block_len, width)
         for x in (q, k, v)
@@ -381,10 +380,10 @@ def topk_attention_fwd(
     q, k, v = np.split(qkv, 3, axis=1)
     tok_out, blocks = _topk_loop_fwd(q, k, v, selection, counts, cfg)
     out = linear(tok_out, params.w_o)
-    slices, dh = _head_slices(cfg)
+    slices, scale = _head_slices(cfg)
     cache = {
         "f": f, "qkv": qkv, "blocks": blocks, "tok_out": tok_out,
-        "selection": selection, "slices": slices, "scale": dh ** -0.5,
+        "selection": selection, "slices": slices, "scale": scale,
     }
     return out, cache
 
@@ -481,11 +480,9 @@ def zorder_pool_fwd(rep, codes: np.ndarray, levels: int, params: ZFormerParams,
     codes = np.asarray(codes, dtype=np.uint64)
     if codes.shape != (len(rep),):
         raise InputError(f"codes shape {codes.shape} != point count {len(rep)}")
-    if not 0 <= levels <= quantizer.depth:
-        raise RangeError(f"pool levels {levels} out of [0, {quantizer.depth}]")
+    keys = shift_array(codes, levels, quantizer.depth)
     if np.any(codes[1:] < codes[:-1]):
         raise InputError("zorder_pool requires codes sorted ascending")
-    keys = codes >> np.uint64(3 * levels)
     starts, counts = _cluster_starts(keys)
     mean_feat = segment_sum(rep.features, starts) / counts[:, None].astype(
         rep.features.dtype

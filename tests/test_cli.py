@@ -8,7 +8,7 @@ import pytest
 
 from zsplat import cli, errors
 from zsplat.cli import main
-from zsplat.scene import read_gaussians_ply, read_tensor, write_tensor
+from zsplat.scene import decode_json_object, read_gaussians_ply, read_tensor, write_tensor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -199,6 +199,101 @@ def test_malformed_manifest_exits_4(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
                  "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# one payload per way decoding a JSON object can fail
+HOSTILE_JSON = {
+    "too-deep": b"[" * 30000,  # past the recursion limit, inside a tensor header line
+    "long-int": b'{"n": ' + b"1" * 5000 + b"}",  # past the 4300-digit limit
+    "not-utf8": b'{"n": "\xff"}',
+    "invalid": b"{not json",
+    "json-list": b"[1, 2]",
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_JSON)
+def test_decoder_raises_only_the_callers_error(case):
+    with pytest.raises(errors.CheckpointError) as err:
+        decode_json_object(HOSTILE_JSON[case], "thing", errors.CheckpointError)
+    assert type(err.value) is errors.CheckpointError
+    assert str(err.value).startswith(
+        "thing must be a JSON object" if case == "json-list" else "bad thing JSON: "
+    )
+
+
+def _select_views_over(name):
+    def run(tmp_path, data):
+        scene = _gen(tmp_path, views=1)
+        (scene / "view_0" / name).write_bytes(data)
+        return main(["select-views", "--scene", str(scene), "--max-views", "1"]), None
+    return run
+
+
+def _init_checkpoint_with_config(tmp_path, data):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "ckpt"
+    cfg.write_bytes(data)
+    return main(["init-checkpoint", "--out", str(out), "--config", str(cfg)]), out
+
+
+def _gen_scene_with_config(tmp_path, data):
+    cfg, out = tmp_path / "scene.json", tmp_path / "scene"
+    cfg.write_bytes(data)
+    return main(["gen-scene", "--out", str(out), "--scene-config", str(cfg)]), out
+
+
+def _forward_with_manifest(tmp_path, data):
+    scene = _gen(tmp_path)
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    (ckpt / "manifest.json").write_bytes(data)
+    return main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "o"), "--config", cfg]), None
+
+
+# each JSON reader, the command that reaches it, and its documented exit code;
+# the second value a command returns is an output it must not have written
+JSON_READERS = {
+    "tensor-header": (_select_views_over("depth.tns"), 2),
+    "camera": (_select_views_over("camera.json"), 2),
+    "run-config": (_init_checkpoint_with_config, 2),
+    "scene-config": (_gen_scene_with_config, 2),
+    "manifest": (_forward_with_manifest, 4),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_JSON)
+@pytest.mark.parametrize("reader", JSON_READERS)
+def test_hostile_json_exits_with_the_readers_code(tmp_path, capsys, reader, case):
+    command, code = JSON_READERS[reader]
+    # the newline ends a tensor header line; JSON readers skip it as whitespace
+    rc, unwritten = command(tmp_path, HOSTILE_JSON[case] + b"\n")
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert unwritten is None or not unwritten.exists()
+
+
+# camera numbers that are not finite floats, as literal JSON text
+CAMERA_NUMBERS = {
+    "fx-long-int": ("fx", "1" + "0" * 400),
+    "matrix-long-int": ("cam_to_world", "[" + ", ".join(["1" + "0" * 400] + ["0"] * 15) + "]"),
+    "fx-1e400": ("fx", "1e400"),
+    "cx-infinity": ("cx", "Infinity"),
+    "cy-nan": ("cy", "NaN"),
+}
+
+
+@pytest.mark.parametrize("case", CAMERA_NUMBERS)
+def test_camera_number_that_is_not_a_finite_float_exits_2(tmp_path, capsys, case):
+    field, literal = CAMERA_NUMBERS[case]
+    scene = _gen(tmp_path, views=1)
+    camera = scene / "view_0" / "camera.json"
+    record = dict(json.loads(camera.read_text()), **{field: "@"})
+    camera.write_text(json.dumps(record).replace('"@"', literal))
+    assert main(["select-views", "--scene", str(scene), "--max-views", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,21 @@ def test_ply_opacity_stored_as_logit(tmp_path):
     assert rec["opacity"][0] == pytest.approx(1.0986122886681098, rel=1e-6)
     assert np.all(rec["scale_0"] == 0.0)  # ln(1)
     assert np.all(rec["nx"] == 0.0) and np.all(rec["nz"] == 0.0)
+
+
+def test_ply_read_maps_an_extreme_logit_to_zero_without_warning(tmp_path):
+    g = _valid_gaussians(2)
+    path = tmp_path / "g.ply"
+    scene.write_gaussians_ply(path, g)
+    header, tag, payload = path.read_bytes().partition(b"end_header\n")
+    rows = np.frombuffer(payload, "<f4").reshape(2, len(scene._PLY_FIELDS)).copy()
+    rows[0, scene._PLY_FIELDS.index("opacity")] = -1000.0
+    path.write_bytes(header + tag + rows.tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = scene.read_gaussians_ply(path)
+    assert back.opacities[0] == 0.0
+    assert back.opacities[1] == pytest.approx(g.opacities[1], abs=1e-6)
 
 
 def test_ply_rejects_invalid_gaussians(tmp_path):
