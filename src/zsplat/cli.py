@@ -37,6 +37,8 @@ from .pipeline import (
 )
 from .scene import (
     assemble,
+    check_fields,
+    integer,
     load_scene_dir,
     read_json_object,
     unproject,
@@ -55,8 +57,7 @@ def _loader_threads() -> int:
         value = int(raw)
     except ValueError:
         raise InputError(f"ZSPLAT_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise InputError(f"ZSPLAT_THREADS must be >= 1, got {value}")
+    check_fields({"ZSPLAT_THREADS": value}, {"ZSPLAT_THREADS": integer(1)}, InputError)
     return value
 
 
@@ -98,8 +99,7 @@ def cmd_gen_scene(args) -> int:
 def cmd_serialize(args) -> int:
     cfg = _load_config(args)
     if args.depth is not None:
-        if not 1 <= args.depth <= MAX_DEPTH:
-            raise RangeError(f"--depth must be in [1, {MAX_DEPTH}], got {args.depth}")
+        check_fields({"--depth": args.depth}, {"--depth": integer(1, MAX_DEPTH)}, RangeError)
         cfg = replace(cfg, serialize_depth=args.depth)
     views = load_scene_dir(args.scene, _loader_threads())
     rep = assemble(views)

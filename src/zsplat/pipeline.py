@@ -23,7 +23,8 @@ from .errors import CheckpointError
 from .gaussian_head import HeadParams, predict
 from .morton import Quantizer
 from .numerics import LinearLayer, derive_seed
-from .scene import PointRepresentation, read_json_object, read_tensor, write_tensor
+from .scene import (PointRepresentation, check_fields, file_in, integer, optional,
+                    read_json_object, read_tensor, write_tensor)
 from .zformer import ZFormerParams, zformer_block
 
 CHECKPOINT_FORMAT = "zsplat-checkpoint"
@@ -134,18 +135,14 @@ def save_checkpoint(model: ModelParams, path) -> int:
 def _read_layer(path, entry, name: str) -> LinearLayer:
     if not isinstance(entry, dict):
         raise CheckpointError(f"{name}: manifest entry must be a JSON object")
-    files = [entry.get("weight"), entry.get("bias")]
-    if not all(isinstance(f, str) for f in files):
-        raise CheckpointError(f"{name}: weight and bias must name files, got {files}")
-    seed = entry.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise CheckpointError(f"{name}: seed must be an integer, got {seed!r}")
-    weight, bias = [read_tensor(os.path.join(path, f)) for f in files]
+    rules = {"weight": file_in(path), "bias": file_in(path), "seed": optional(integer())}
+    check_fields(entry, rules, lambda message: CheckpointError(f"{name}: {message}"))
+    weight, bias = [read_tensor(os.path.join(path, entry[k])) for k in ("weight", "bias")]
     if weight.ndim != 2 or bias.shape != (weight.shape[0],):
         raise CheckpointError(
             f"{name}: weight {weight.shape} and bias {bias.shape} do not align"
         )
-    return LinearLayer(weight.astype(np.float32), bias.astype(np.float32), seed)
+    return LinearLayer(weight.astype(np.float32), bias.astype(np.float32), entry.get("seed", 0))
 
 
 def load_checkpoint(path, cfg: RunConfig) -> ModelParams:

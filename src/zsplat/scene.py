@@ -17,13 +17,17 @@ import json
 import math
 import mmap
 import os
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import FormatError, InputError, ValidationError
 from .numerics import sigmoid
+
+_FLOAT_MAX = sys.float_info.max
 
 # ---------------------------------------------------------------------------
 # JSON
@@ -50,9 +54,87 @@ def read_json_object(path, what: str, error) -> dict:
     return decode_json_object(data, what, lambda message: error(f"{path}: {message}"))
 
 
+def check_fields(record: dict, rules: dict, error) -> None:
+    """Raise ``error(message)`` for a key of ``record`` without a rule, or for the
+    first field its rule rejects (a missing field is checked as None). A rule below
+    returns a falsy value or the message to report; a None rule accepts anything."""
+    if not record.keys() <= rules.keys():
+        raise error(f"unknown keys: {sorted(record.keys() - rules.keys())}")
+    for name, rule in rules.items():
+        if rule and (problem := rule(name, record.get(name))):
+            raise error(problem)
+
+
+def number(low=None):
+    """A finite number that is not a bool, above ``low`` when given."""
+    def rule(name, value):
+        # JSON's exact types first; abs() compares a huge int without overflow
+        if not ((type(value) in (float, int) or not isinstance(value, bool)
+                 and isinstance(value, Real)) and abs(value) <= _FLOAT_MAX):
+            return f"{name} must be a finite number, got {value!r}"
+        if low is not None and not value > low:
+            return f"{name} must be > {low}, got {value!r}"
+    return rule
+
+
+def integer(low=None, high=None):
+    """An integer that is not a bool, within [low, high] where given."""
+    def rule(name, value):
+        if not (type(value) is int or not isinstance(value, bool) and isinstance(value, Integral)):
+            return f"{name} must be an integer, got {value!r}"
+        if high is not None and not low <= value <= high:
+            return f"{name} must be in [{low}, {high}], got {value!r}"
+        if low is not None and value < low:
+            return f"{name} must be >= {low}, got {value!r}"
+    return rule
+
+
+def one_of(*choices):
+    """A string from ``choices``."""
+    def rule(name, value):
+        if not (isinstance(value, str) and value in choices):
+            return f"unknown {name} {value!r}: expected {' or '.join(map(repr, choices))}"
+    return rule
+
+
+def list_of(rule, count=None):
+    """A list (or tuple) of ``count`` items, any number when None, each under ``rule``."""
+    def check(name, value):
+        if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
+            return f"{name} must be a list of {count or 'any number of'} items, got {value!r}"
+        for i, item in enumerate(value):
+            if rule(name, item):
+                return rule(f"{name}[{i}]", item)
+    return check
+
+
+def optional(rule):
+    """None, or a value under ``rule``."""
+    return lambda name, value: value is not None and rule(name, value)
+
+
+def worded(rule, message):
+    """``rule`` reporting ``message.format(value)`` in place of its own message."""
+    return lambda name, value: rule(name, value) and message.format(value)
+
+
+def file_in(directory):
+    """The name of a regular file, not a symlink, directly inside ``directory``."""
+    def rule(name, value):
+        path = isinstance(value, str) and os.path.join(directory, value)
+        if not (path and os.path.basename(value) == value
+                and os.path.isfile(path) and not os.path.islink(path)):
+            return f"{name} must name a file in {directory}, got {value!r}"
+    return rule
+
+
 # ---------------------------------------------------------------------------
 # cameras
 
+_INTRINSICS = {"fx": number(0), "fy": number(0), "cx": number(), "cy": number()}
+# the constructor checks the intrinsics; a record check adds only its matrix entries
+_CAMERA_FIELDS = {**_INTRINSICS, "cam_to_world": None}
+_RECORD_FIELDS = {**dict.fromkeys(_INTRINSICS), "cam_to_world": list_of(number(), 16)}
 _LAST_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 _LAST_ROW_TOL = 1e-9 + 1e-5 * np.abs(_LAST_ROW)
 
@@ -68,11 +150,8 @@ class Camera:
     cam_to_world: np.ndarray  # (4, 4) float64
 
     def __post_init__(self):
-        intrinsics = (self.fx, self.fy, self.cx, self.cy)
-        if not all(map(math.isfinite, intrinsics)):
-            raise InputError(f"intrinsics must be finite, got {intrinsics}")
-        if not (self.fx > 0 and self.fy > 0):
-            raise InputError(f"focal lengths must be positive, got {self.fx}, {self.fy}")
+        check_fields(vars(self), _CAMERA_FIELDS, InputError)
+        vars(self).update((k, float(getattr(self, k))) for k in _INTRINSICS)
         m = np.asarray(self.cam_to_world, dtype=np.float64)
         if m.shape != (4, 4):
             raise InputError(f"cam_to_world must be 4x4, got {m.shape}")
@@ -102,15 +181,9 @@ class Camera:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Camera":
-        try:
-            fx, fy = float(data["fx"]), float(data["fy"])
-            cx, cy = float(data["cx"]), float(data["cy"])
-            mat = np.asarray(data["cam_to_world"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"bad camera record: {exc}") from exc
-        if mat.shape != (16,):
-            raise FormatError(f"cam_to_world must hold 16 numbers, got shape {mat.shape}")
-        return cls(fx, fy, cx, cy, mat.reshape(4, 4))
+        check_fields(data, _RECORD_FIELDS, lambda m: FormatError(f"bad camera record: {m}"))
+        mat = np.asarray(data["cam_to_world"], np.float64).reshape(4, 4)
+        return cls(*map(data.get, _INTRINSICS), mat)
 
 
 def read_camera(path) -> Camera:
@@ -322,6 +395,8 @@ class Gaussians:
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _HEADER_LIMIT = 65536  # the header line, newline included, fits in this
+_HEADER_FIELDS = {"dtype": worded(one_of(*_DTYPES), "unsupported dtype {!r}"),
+                  "shape": worded(list_of(integer(0)), "bad shape {!r}")}
 
 
 def write_tensor(path, array: np.ndarray) -> None:
@@ -348,17 +423,14 @@ def _read_header(fh):
     line = fh.readline(_HEADER_LIMIT)
     if not line.endswith(b"\n"):
         raise FormatError("missing header newline", offset=min(size, _HEADER_LIMIT))
-    header = decode_json_object(line[:-1], "header", partial(FormatError, offset=0))
-    dtype_name = header.get("dtype")
-    if dtype_name not in _DTYPES:
-        raise FormatError(f"unsupported dtype {dtype_name!r}", offset=0)
-    shape = header.get("shape")
-    if (
-        not isinstance(shape, list)
-        or not all(isinstance(d, int) and d >= 0 for d in shape)
-    ):
-        raise FormatError(f"bad shape {shape!r}", offset=0)
-    dtype = _DTYPES[dtype_name]
+    error = partial(FormatError, offset=0)
+    header = decode_json_object(line[:-1], "header", error)
+    check_fields(header, _HEADER_FIELDS, error)
+    dtype, shape = _DTYPES[header["dtype"]], header["shape"]
+    # numpy's limits, which only a zero-size shape can break and match its payload
+    if len(shape) > 32 or 0 in shape and (
+            math.prod(filter(None, shape)) * dtype.itemsize > sys.maxsize):
+        raise error(f"bad shape {shape!r}")
     # python ints: an int64 product of huge dimensions can wrap to 0
     _check_payload(size - len(line), math.prod(shape) * dtype.itemsize, len(line))
     return dtype, shape, len(line)
@@ -517,7 +589,7 @@ def read_gaussians_ply(path) -> Gaussians:
     for line in header:
         if line.startswith("element vertex "):
             text = line.split()[-1]
-            if not text.isdecimal():
+            if not text.isdecimal() or len(text) > 18:  # no file holds more
                 raise FormatError(f"bad vertex count: {line}", offset=at)
             count = int(text)
         elif line.startswith("element "):
@@ -542,6 +614,9 @@ def read_gaussians_ply(path) -> Gaussians:
     centers, _, sh, opacity, log_scales, rotations = np.split(
         rows.astype(np.float64), _PLY_SPLITS, axis=1
     )
-    opacities = sigmoid(opacity[:, 0])
-    scales = np.exp(log_scales)
-    return Gaussians(centers, opacities, rotations, scales, sh)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1)
+                         | (log_scales > np.log(np.finfo(np.float64).max)).any(axis=1))
+    if bad.size:
+        raise FormatError(f"vertex {bad[0]} holds a non-finite value or an overflowing scale",
+                          offset=start + rows.strides[0] * int(bad[0]))
+    return Gaussians(centers, sigmoid(opacity[:, 0]), rotations, np.exp(log_scales), sh)

@@ -8,60 +8,29 @@ drawn from the seeded generator, so scenes are bit-reproducible.
 
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 
-from .config import is_finite_number
 from .errors import ConfigError
 from .numerics import derive_seed, uniform01
-from .scene import Camera
+from .scene import Camera, check_fields, integer, list_of, number, one_of, optional
 
-_DEFAULTS = {
-    "kind": "plane",
-    "resolution": [64, 64],
-    "n_views": 2,
-    "feature_width": 96,
-    "seed": 0,
-    "focal": None,  # defaults to image width
-    "distance": 4.0,
-    "spread": 0.25,
-    "plane_z": 0.0,
-    "sphere_center": [0.0, 0.0, 0.0],
-    "sphere_radius": 1.0,
-    "background": None,  # defaults to 2 * distance
+# each key's default and the rule its value must meet
+_FIELDS = {
+    "kind": ("plane", one_of("plane", "sphere")),
+    "resolution": ([64, 64], list_of(integer(1), 2)),
+    "n_views": (2, integer(1)),
+    "feature_width": (96, integer(1)),
+    "seed": (0, integer()),
+    "focal": (None, optional(number())),  # defaults to image width
+    "distance": (4.0, number()),
+    "spread": (0.25, number()),
+    "plane_z": (0.0, number()),
+    "sphere_center": ([0.0, 0.0, 0.0], list_of(number(), 3)),
+    "sphere_radius": (1.0, number()),
+    "background": (None, optional(number())),  # defaults to 2 * distance
 }
-
-
-def _is_int(value, low: int | None = None) -> bool:
-    """An integer, not a bool, at least ``low`` when given."""
-    return (isinstance(value, Integral) and not isinstance(value, bool)
-            and (low is None or value >= low))
-
-
-def _list_of(count: int, check):
-    return lambda v: isinstance(v, (list, tuple)) and len(v) == count and all(map(check, v))
-
-
-def _number_or_null(value) -> bool:
-    return value is None or is_finite_number(value)
-
-
-# accepted values per key, with the description an error quotes
-_RULES = {
-    "kind": (lambda v: v in ("plane", "sphere"), "'plane' or 'sphere'"),
-    "resolution": (_list_of(2, lambda v: _is_int(v, 1)), "two integers >= 1"),
-    "n_views": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "feature_width": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "seed": (_is_int, "an integer"),
-    "focal": (_number_or_null, "a finite number or null"),
-    "distance": (is_finite_number, "a finite number"),
-    "spread": (is_finite_number, "a finite number"),
-    "plane_z": (is_finite_number, "a finite number"),
-    "sphere_center": (_list_of(3, is_finite_number), "3 finite numbers"),
-    "sphere_radius": (is_finite_number, "a finite number"),
-    "background": (_number_or_null, "a finite number or null"),
-}
+_DEFAULTS = {key: default for key, (default, _) in _FIELDS.items()}
+_RULES = {key: rule for key, (_, rule) in _FIELDS.items()}
 
 
 def scene_config(overrides: dict | None = None) -> dict:
@@ -69,14 +38,8 @@ def scene_config(overrides: dict | None = None) -> dict:
     type or range are rejected."""
     if overrides is not None and not isinstance(overrides, dict):
         raise ConfigError(f"scene config must be a JSON object, got {overrides!r}")
-    cfg = dict(_DEFAULTS)
-    for key, value in (overrides or {}).items():
-        if key not in cfg:
-            raise ConfigError(f"unknown scene config key: {key!r}")
-        cfg[key] = value
-    for key, (check, what) in _RULES.items():
-        if not check(cfg[key]):
-            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
+    cfg = {**_DEFAULTS, **(overrides or {})}
+    check_fields(cfg, _RULES, ConfigError)
     h, w = cfg["resolution"]
     if cfg["focal"] is None:
         cfg["focal"] = float(w)

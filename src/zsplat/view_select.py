@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .morton import Quantizer
+from .scene import check_fields, integer
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,8 @@ def build_candidates(point_sets, quantizer: Quantizer, indices=None):
 
 
 def _check_candidates(candidates, max_views: int, min_gain: int) -> dict:
-    if max_views < 0:
-        raise InputError(f"max_views must be >= 0, got {max_views}")
-    if min_gain < 0:
-        raise InputError(f"min_gain must be >= 0, got {min_gain}")
+    limits = {"max_views": max_views, "min_gain": min_gain}
+    check_fields(limits, dict.fromkeys(limits, integer(0)), InputError)
     by_index = {}
     for cand in candidates:
         if cand.index in by_index:

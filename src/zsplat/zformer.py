@@ -40,6 +40,7 @@ from .numerics import (
     softmax_rows,
     softmax_rows_backward,
 )
+from .scene import check_fields, integer, one_of
 
 # bytes of gathered keys, values and scores per top-k chunk: about half of
 # one core's 2 MB L2, so a chunk's tiles stay in cache from the gather through
@@ -64,21 +65,23 @@ class AttentionConfig:
     pool_levels: int = 2
     position_mode: str = "cell_center"
 
+    # what each field may hold; a subclass extends the table with its fields
+    FIELDS = {
+        "block_len": integer(1),
+        "select_k": integer(0),
+        "model_width": integer(1),
+        "head_width": integer(1),
+        "n_heads": integer(1),
+        "pool_levels": integer(0),
+        "position_mode": one_of("cell_center", "member_mean"),
+    }
+
     def __post_init__(self):
-        if self.block_len < 1:
-            raise ConfigError(f"block_len must be >= 1, got {self.block_len}")
-        if self.select_k < 0:
-            raise ConfigError(f"select_k must be >= 0, got {self.select_k}")
-        if self.model_width < 1 or self.head_width < 1:
-            raise ConfigError("model_width and head_width must be >= 1")
-        if self.n_heads < 1 or self.head_width % self.n_heads != 0:
+        check_fields(vars(self), self.FIELDS, ConfigError)
+        if self.head_width % self.n_heads:
             raise ConfigError(
                 f"head_width {self.head_width} must divide into {self.n_heads} heads"
             )
-        if self.pool_levels < 0:
-            raise ConfigError(f"pool_levels must be >= 0, got {self.pool_levels}")
-        if self.position_mode not in ("cell_center", "member_mean"):
-            raise ConfigError(f"unknown position_mode {self.position_mode!r}")
 
     def resolve_k(self, n_blocks: int) -> int:
         if self.select_k == 0:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -185,6 +186,10 @@ MALFORMED_MANIFESTS = {
     "json-list": lambda m: b"[1]",
     "string-entry": lambda m: _set_first_entry(m, None, "block0__wq.weight.tns"),
     "string-seed": lambda m: _set_first_entry(m, "seed", "abc"),
+    "absolute-path": lambda m: _set_first_entry(m, "weight", "/dev/zero"),
+    "parent-path": lambda m: _set_first_entry(m, "bias", "../other/x.tns"),
+    "empty-name": lambda m: _set_first_entry(m, "weight", ""),
+    "symlink-out": lambda m: _set_first_entry(m, "weight", "outside.tns"),
 }
 
 
@@ -195,6 +200,10 @@ def test_malformed_manifest_exits_4(tmp_path, capsys, case):
     ckpt = tmp_path / "ckpt"
     assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
     manifest = json.loads((ckpt / "manifest.json").read_text())
+    # a valid layer file outside the checkpoint, linked from inside it
+    weight = manifest["params"][sorted(manifest["params"])[0]]["weight"]
+    shutil.copy(ckpt / weight, tmp_path / "outside.tns")
+    os.symlink(tmp_path / "outside.tns", ckpt / "outside.tns")
     (ckpt / "manifest.json").write_bytes(MALFORMED_MANIFESTS[case](manifest))
     capsys.readouterr()
     assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
@@ -283,6 +292,8 @@ CAMERA_NUMBERS = {
     "fx-1e400": ("fx", "1e400"),
     "cx-infinity": ("cx", "Infinity"),
     "cy-nan": ("cy", "NaN"),
+    "fx-bool": ("fx", "true"),
+    "fx-string": ("fx", '"1.5"'),
 }
 
 
@@ -331,7 +342,12 @@ def test_hostile_scene_files_exit_2(tmp_path):
     assert main(["select-views", "--scene", str(scene), "--max-views", "1"]) == 2
 
 
-@pytest.mark.parametrize("mat", [["a"] * 16, [[1, 2], [3]]], ids=["strings", "ragged"])
+_IDENTITY = np.eye(4).ravel().tolist()
+
+
+@pytest.mark.parametrize("mat", [
+    ["a"] * 16, [[1, 2], [3]], [v == 1 for v in _IDENTITY], [str(v) for v in _IDENTITY],
+], ids=["strings", "ragged", "bools", "numeric-strings"])
 def test_malformed_camera_matrix_exits_2(tmp_path, capsys, mat):
     scene = _gen(tmp_path, views=1)
     camera = scene / "view_0" / "camera.json"

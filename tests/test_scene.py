@@ -296,6 +296,8 @@ _MALFORMED_TENSORS = [
     (b"\xff\n", "bad header JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
      "invalid start byte", 0),
     (b"[1]\n", "header must be a JSON object", 0),
+    (b'{"dtype": "f32", "shape": [true, 64]}\n' + b"\x00" * 256, "bad shape [True, 64]", 0),
+    (b'{"dtype": ["f32"], "shape": [1]}\n\x00', "unsupported dtype ['f32']", 0),
     (b'{"dtype": "f32", "shape": [4294967296, 4294967296]}\n',
      "payload holds 0 bytes, header implies 73786976294838206464", 52),
 ]
@@ -344,6 +346,13 @@ def test_writing_into_a_mapped_array_leaves_the_file_unchanged(tmp_path):
     assert np.all(mapped == -1.0)
     assert path.read_bytes() == before
     assert np.array_equal(scene.map_tensor(path), scene.read_tensor(path))
+
+
+def test_camera_record_intrinsics_are_stored_as_floats():
+    cam = scene.Camera.from_dict({"fx": 2, "fy": 2, "cx": 2**70, "cy": 0,
+                                  "cam_to_world": np.eye(4).ravel().tolist()})
+    assert [type(v) for v in (cam.fx, cam.fy, cam.cx, cam.cy)] == [float] * 4
+    assert cam.to_dict()["cx"] == float(2**70)
 
 
 def test_loaded_features_survive_a_file_replaced_after_loading(tmp_path):
@@ -447,6 +456,24 @@ def test_ply_read_maps_an_extreme_logit_to_zero_without_warning(tmp_path):
         back = scene.read_gaussians_ply(path)
     assert back.opacities[0] == 0.0
     assert back.opacities[1] == pytest.approx(g.opacities[1], abs=1e-6)
+
+
+@pytest.mark.parametrize("field, value", [("x", np.nan), ("scale_1", 1e30)],
+                         ids=["nan-center", "overflowing-log-scale"])
+def test_ply_read_rejects_what_validate_would_without_warning(tmp_path, field, value):
+    g = _valid_gaussians(3)
+    path = tmp_path / "g.ply"
+    scene.write_gaussians_ply(path, g)
+    header, tag, payload = path.read_bytes().partition(b"end_header\n")
+    rows = np.frombuffer(payload, "<f4").reshape(3, len(scene._PLY_FIELDS)).copy()
+    rows[1, scene._PLY_FIELDS.index(field)] = value
+    path.write_bytes(header + tag + rows.tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="vertex 1") as err:
+            scene.read_gaussians_ply(path)
+    assert err.value.exit_code == 2
+    assert err.value.offset == len(header + tag) + rows[0].nbytes
 
 
 def test_ply_rejects_invalid_gaussians(tmp_path):

@@ -74,6 +74,10 @@ def test_negative_budget_or_min_gain_rejected(greedy):
         greedy(cands, max_views=-1)
     with pytest.raises(InputError):
         greedy(cands, max_views=2, min_gain=-1)
+    with pytest.raises(InputError, match="max_views must be an integer"):
+        greedy(cands, max_views=True)
+    with pytest.raises(InputError, match="min_gain must be an integer"):
+        greedy(cands, max_views=2, min_gain=0.5)
 
 
 def _random_instance(seed, n_sets, universe, max_size):
