@@ -20,13 +20,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError, InputError, RangeError, ZsplatError
-from .morton import MAX_DEPTH, Quantizer, sort_by_code
+from .morton import MAX_DEPTH, Quantizer
 from .pipeline import (
     forward_scene,
     init_model,
@@ -104,7 +104,7 @@ def cmd_serialize(args) -> int:
     views = load_scene_dir(args.scene, _loader_threads())
     rep = assemble(views)
     quant = make_quantizer(rep.positions, cfg)
-    _, codes, _ = sort_by_code(rep, quant)
+    codes = np.sort(quant.encode_points(rep.positions))
     # codes can exceed exact float64 integers, so store 32-bit halves
     half = np.uint64(0xFFFFFFFF)
     pairs = np.stack(
@@ -158,15 +158,7 @@ def cmd_select_views(args) -> int:
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "selected": list(result.selected),
-                    "covered": result.covered,
-                    "marginal_gains": list(result.marginal_gains),
-                },
-                fh,
-                indent=2,
-            )
+            json.dump(asdict(result), fh, indent=2)
             fh.write("\n")
     return 0
 

@@ -22,7 +22,7 @@ class RunConfig(AttentionConfig):
     serialize_depth: int = 16
     head_hidden: int = 128
     cell: float | None = None  # explicit quantizer cell; None fits the bbox
-    origin: tuple | None = None  # explicit quantizer origin (used with cell)
+    origin: tuple | None = None  # explicit quantizer origin (needs cell)
     offset_scale: float | None = None  # None = 2 coarse cells per level
 
     FIELDS = {
@@ -44,6 +44,8 @@ class RunConfig(AttentionConfig):
                 f"exhaust serialize_depth {self.serialize_depth}"
             )
         if self.origin is not None:
+            if self.cell is None:
+                raise ConfigError("origin needs cell: a fitted quantizer has its own origin")
             object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
 
     def attention_config(self) -> AttentionConfig:

@@ -23,12 +23,17 @@ from .errors import CheckpointError
 from .gaussian_head import HeadParams, predict
 from .morton import Quantizer
 from .numerics import LinearLayer, derive_seed
-from .scene import (PointRepresentation, check_fields, file_in, integer, optional,
-                    read_json_object, read_tensor, write_tensor)
+from .scene import (PointRepresentation, check_fields, file_in, integer, one_of, optional,
+                    read_json_object, read_tensor, worded, write_tensor)
 from .zformer import ZFormerParams, zformer_block
 
 CHECKPOINT_FORMAT = "zsplat-checkpoint"
 CHECKPOINT_VERSION = 1
+_MANIFEST_FIELDS = {
+    "format": worded(one_of(CHECKPOINT_FORMAT), "unrecognized checkpoint format {!r}"),
+    "version": worded(integer(CHECKPOINT_VERSION, CHECKPOINT_VERSION), "unsupported version {!r}"),
+    "params": lambda name, value: not isinstance(value, dict) and f"{name} must be a JSON object",
+}
 
 
 @dataclass(frozen=True)
@@ -151,11 +156,8 @@ def load_checkpoint(path, cfg: RunConfig) -> ModelParams:
     if not os.path.exists(manifest_path):
         raise CheckpointError(f"no manifest.json under {path}")
     manifest = read_json_object(manifest_path, "manifest", CheckpointError)
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"unrecognized checkpoint format {manifest.get('format')!r}")
-    entries = manifest.get("params", {})
-    if not isinstance(entries, dict):
-        raise CheckpointError("manifest params must be a JSON object")
+    check_fields(manifest, _MANIFEST_FIELDS, lambda m: CheckpointError(f"bad manifest: {m}"))
+    entries = manifest["params"]
     expected = _named_layers(init_model(cfg))
     missing = sorted(set(expected) - set(entries))
     extra = sorted(set(entries) - set(expected))

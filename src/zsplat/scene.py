@@ -24,7 +24,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import FormatError, InputError, ValidationError
+from .errors import FormatError, InputError, ValidationError, ZsplatError
 from .numerics import sigmoid
 
 _FLOAT_MAX = sys.float_info.max
@@ -131,10 +131,16 @@ def file_in(directory):
 # ---------------------------------------------------------------------------
 # cameras
 
-_INTRINSICS = {"fx": number(0), "fy": number(0), "cx": number(), "cy": number()}
-# the constructor checks the intrinsics; a record check adds only its matrix entries
-_CAMERA_FIELDS = {**_INTRINSICS, "cam_to_world": None}
-_RECORD_FIELDS = {**dict.fromkeys(_INTRINSICS), "cam_to_world": list_of(number(), 16)}
+def _matrix(name, value):
+    """A finite (4, 4) array, or camera.json's 16 row-major numbers under one type test."""
+    if not (isinstance(value, np.ndarray) and value.shape == (4, 4) and np.isfinite(value).all()
+            or isinstance(value, list) and len(value) == 16
+            and all(type(v) in (float, int) and abs(v) <= _FLOAT_MAX for v in value)):
+        return f"{name} must be a finite 4x4 array or a list of 16 finite numbers, got {value!r}"
+
+
+_CAMERA_FIELDS = {"fx": number(0), "fy": number(0), "cx": number(), "cy": number(),
+                  "cam_to_world": _matrix}
 _LAST_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 _LAST_ROW_TOL = 1e-9 + 1e-5 * np.abs(_LAST_ROW)
 
@@ -151,16 +157,12 @@ class Camera:
 
     def __post_init__(self):
         check_fields(vars(self), _CAMERA_FIELDS, InputError)
-        vars(self).update((k, float(getattr(self, k))) for k in _INTRINSICS)
-        m = np.asarray(self.cam_to_world, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise InputError(f"cam_to_world must be 4x4, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise InputError("cam_to_world contains non-finite values")
+        m = np.asarray(self.cam_to_world, dtype=np.float64).reshape(4, 4)
         # np.allclose(m[3], _LAST_ROW, atol=1e-9) for a matrix already finite
         if not (np.abs(m[3] - _LAST_ROW) <= _LAST_ROW_TOL).all():
             raise InputError("cam_to_world last row must be [0, 0, 0, 1]")
-        object.__setattr__(self, "cam_to_world", m)
+        vars(self).update(fx=float(self.fx), fy=float(self.fy), cx=float(self.cx),
+                          cy=float(self.cy), cam_to_world=m)
 
     @property
     def rotation(self) -> np.ndarray:
@@ -171,23 +173,19 @@ class Camera:
         return self.cam_to_world[:3, 3]
 
     def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "cam_to_world": [float(v) for v in self.cam_to_world.reshape(16)],
-        }
+        return dict(vars(self), cam_to_world=self.cam_to_world.ravel().tolist())
 
     @classmethod
     def from_dict(cls, data: dict) -> "Camera":
-        check_fields(data, _RECORD_FIELDS, lambda m: FormatError(f"bad camera record: {m}"))
-        mat = np.asarray(data["cam_to_world"], np.float64).reshape(4, 4)
-        return cls(*map(data.get, _INTRINSICS), mat)
+        try:  # a missing or unknown key is a TypeError
+            return cls(**data)
+        except (InputError, TypeError) as exc:
+            raise FormatError(f"bad camera record: {exc}") from exc
 
 
 def read_camera(path) -> Camera:
-    return Camera.from_dict(read_json_object(path, "camera", FormatError))
+    with open(path, "rb") as fh:
+        return Camera.from_dict(decode_json_object(fh.read(), "camera", FormatError))
 
 
 def write_camera(path, camera: Camera) -> None:
@@ -200,14 +198,13 @@ def unproject(depth: np.ndarray, camera: Camera) -> np.ndarray:
     """Lift an (H, W) depth map to world points, row-major pixel order.
 
     Depth is the camera-space z distance of the surface along each pixel ray
-    ((u - cx)/fx, (v - cy)/fy, 1). Non-finite or negative depths are
-    rejected; zero depth is allowed and degenerates to the camera center.
+    ((u - cx)/fx, (v - cy)/fy, 1). Non-finite or negative depths, and points
+    past float64 range, are rejected; zero depth is allowed and degenerates
+    to the camera center.
     """
     depth = np.asarray(depth, dtype=np.float64)
     if depth.ndim != 2:
         raise InputError(f"depth map must be 2-D, got shape {depth.shape}")
-    if not np.isfinite(depth).all():
-        raise InputError("depth map contains non-finite values")
     if depth.size and depth.min() < 0:
         raise InputError("depth map contains negative values")
     h, w = depth.shape
@@ -215,10 +212,15 @@ def unproject(depth: np.ndarray, camera: Camera) -> np.ndarray:
     u = np.arange(w, dtype=np.float64)
     v = np.arange(h, dtype=np.float64)[:, None]
     z = depth
-    x_cam = (u - camera.cx) / camera.fx * z
-    y_cam = (v - camera.cy) / camera.fy * z
-    pts_cam = np.stack([x_cam, y_cam, z], axis=-1).reshape(-1, 3)
-    return pts_cam @ camera.rotation.T + camera.position
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_cam = (u - camera.cx) / camera.fx * z
+        y_cam = (v - camera.cy) / camera.fy * z
+        pts_cam = np.stack([x_cam, y_cam, z], axis=-1).reshape(-1, 3)
+        points = pts_cam @ camera.rotation.T + camera.position
+    # one check for a non-finite depth and for an overflow (say, a tiny focal length)
+    if not np.isfinite(points).all():
+        raise InputError("depth map holds a non-finite value, or its points overflow float64")
+    return points
 
 
 def project(points: np.ndarray, camera: Camera) -> np.ndarray:
@@ -487,14 +489,24 @@ def write_scene_dir(path, views) -> None:
         write_tensor(os.path.join(vdir, "feature.tns"), np.asarray(features, np.float32))
 
 
+_VIEW_FILES = (("depth.tns", read_tensor), ("camera.json", read_camera),
+               ("color.tns", read_tensor), ("feature.tns", map_tensor))
+
+
 def load_view_dir(vdir):
     """Read depth, camera and colors; map the features, which are most of a
-    view's bytes and which a request reads only for the views it selects."""
-    depth = read_tensor(os.path.join(vdir, "depth.tns"))
-    camera = read_camera(os.path.join(vdir, "camera.json"))
-    colors = read_tensor(os.path.join(vdir, "color.tns"))
-    features = map_tensor(os.path.join(vdir, "feature.tns"))
-    return depth, camera, colors, features
+    view's bytes and which a request reads only for the views it selects.
+    An error's message gains the path of its file; its class, exit code and
+    byte offset stay."""
+    view = []
+    try:
+        for name, read in _VIEW_FILES:
+            path = os.path.join(vdir, name)
+            view.append(read(path))
+    except ZsplatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    return tuple(view)
 
 
 def load_scene_dir(path, max_workers: int = 1):

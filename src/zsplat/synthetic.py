@@ -40,6 +40,8 @@ def scene_config(overrides: dict | None = None) -> dict:
         raise ConfigError(f"scene config must be a JSON object, got {overrides!r}")
     cfg = {**_DEFAULTS, **(overrides or {})}
     check_fields(cfg, _RULES, ConfigError)
+    # checked lists hold only numbers: a shallow copy leaves the caller its own
+    cfg = {k: list(v) if isinstance(v, list) else v for k, v in cfg.items()}
     h, w = cfg["resolution"]
     if cfg["focal"] is None:
         cfg["focal"] = float(w)

@@ -190,6 +190,9 @@ MALFORMED_MANIFESTS = {
     "parent-path": lambda m: _set_first_entry(m, "bias", "../other/x.tns"),
     "empty-name": lambda m: _set_first_entry(m, "weight", ""),
     "symlink-out": lambda m: _set_first_entry(m, "weight", "outside.tns"),
+    "version-99": lambda m: json.dumps(dict(m, version=99)).encode(),
+    "version-bool": lambda m: json.dumps(dict(m, version=True)).encode(),
+    "unknown-top-key": lambda m: json.dumps(dict(m, bogus=1)).encode(),
 }
 
 
@@ -294,6 +297,7 @@ CAMERA_NUMBERS = {
     "cy-nan": ("cy", "NaN"),
     "fx-bool": ("fx", "true"),
     "fx-string": ("fx", '"1.5"'),
+    "fx-tiny": ("fx", "1e-308"),
 }
 
 
@@ -355,6 +359,20 @@ def test_malformed_camera_matrix_exits_2(tmp_path, capsys, mat):
     camera.write_text(json.dumps(dict(record, cam_to_world=mat)))
     assert main(["select-views", "--scene", str(scene), "--max-views", "1"]) == 2
     assert "bad camera record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, blob, message", [
+    ("depth.tns", lambda b: b[:-4], "payload holds 252 bytes, header implies 256"),
+    ("camera.json", lambda b: b.replace(b'"fx": 8.0', b'"fx": true'), "bad camera record: fx"),
+], ids=["truncated-depth", "fx-bool"])
+def test_a_view_that_fails_to_load_is_named_once(tmp_path, capsys, name, blob, message):
+    scene = _gen(tmp_path, views=3, res="8x8")
+    path = scene / "view_2" / name
+    path.write_bytes(blob(path.read_bytes()))
+    assert main(["select-views", "--scene", str(scene), "--max-views", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}")
+    assert err.count("view_2") == 1 and "Traceback" not in err
 
 
 def test_view_payload_unlike_its_depth_map_exits_2(tmp_path, capsys):

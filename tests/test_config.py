@@ -40,8 +40,9 @@ def test_json_stays_flat(tmp_path):
     ({"n_heads": None}, "n_heads must be an integer"),
     ({"serialize_depth": 22}, r"serialize_depth must be in \[1, 21\]"),
     ({"n_blocks": 0}, "n_blocks must be >= 1"),
+    ({"origin": (5, 5, 5)}, "origin needs cell"),
 ], ids=["block_len-0", "heads", "position_mode", "block_len-str", "n_heads-null",
-        "depth-22", "n_blocks-0"])
+        "depth-22", "n_blocks-0", "origin-without-cell"])
 def test_inherited_and_own_checks_raise_config_error(field, message):
     with pytest.raises(ConfigError, match=message):
         RunConfig(**field)

@@ -241,6 +241,10 @@ def test_checkpoint_loading_raises_only_zsplat_errors(checkpoint, data):
         entry = manifest["params"][data.draw(st.sampled_from(sorted(manifest["params"])))]
         key = data.draw(st.sampled_from(["weight", "bias", "seed", "bogus"]))
         entry[key] = data.draw(FILE_NAMES | JSON_VALUES)
+        # then maybe a top-level field, or a new top-level key
+        top = data.draw(st.sampled_from([None, "format", "version", "params", "bogus"]))
+        if top is not None:
+            manifest[top] = data.draw(JSON_VALUES)
         blob = data.draw(st.just(json.dumps(manifest).encode()) | mutated(blob))
     else:
         blob = data.draw(mutated(blob, blob.index(b"\n")))

@@ -355,6 +355,14 @@ def test_camera_record_intrinsics_are_stored_as_floats():
     assert cam.to_dict()["cx"] == float(2**70)
 
 
+def test_scene_config_returns_its_own_containers():
+    cfg = synthetic.scene_config()
+    cfg["resolution"][0] = 8
+    cfg["sphere_center"][0] = 9.0
+    assert synthetic.scene_config()["resolution"] == [64, 64]
+    assert synthetic.scene_config()["sphere_center"] == [0.0, 0.0, 0.0]
+
+
 def test_loaded_features_survive_a_file_replaced_after_loading(tmp_path):
     views = synthetic.generate_scene({"resolution": [8, 8], "n_views": 2, "feature_width": 5})
     scene.write_scene_dir(tmp_path / "scene", views)
