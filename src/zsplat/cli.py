@@ -13,7 +13,7 @@ import os
 # Pin BLAS to one thread before numpy is first imported anywhere in this
 # process: outputs must not depend on the host's threading defaults. The
 # package root deliberately imports no numpy so this runs first under the
-# console script. ZSPLAT_THREADS controls only the scene loader pool below.
+# console script.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -40,6 +40,7 @@ from .scene import (
     check_fields,
     integer,
     load_scene_dir,
+    named,
     read_json_object,
     unproject,
     write_gaussians_ply,
@@ -49,16 +50,6 @@ from .scene import (
 from .synthetic import generate_scene
 from .verify import SUITES, run_suites
 from .view_select import build_candidates, select
-
-
-def _loader_threads() -> int:
-    raw = os.environ.get("ZSPLAT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"ZSPLAT_THREADS must be an integer, got {raw!r}") from None
-    check_fields({"ZSPLAT_THREADS": value}, {"ZSPLAT_THREADS": integer(1)}, InputError)
-    return value
 
 
 def _load_config(args) -> RunConfig:
@@ -101,7 +92,7 @@ def cmd_serialize(args) -> int:
     if args.depth is not None:
         check_fields({"--depth": args.depth}, {"--depth": integer(1, MAX_DEPTH)}, RangeError)
         cfg = replace(cfg, serialize_depth=args.depth)
-    views = load_scene_dir(args.scene, _loader_threads())
+    views = load_scene_dir(args.scene)
     rep = assemble(views)
     quant = make_quantizer(rep.positions, cfg)
     codes = np.sort(quant.encode_points(rep.positions))
@@ -123,7 +114,7 @@ def cmd_serialize(args) -> int:
 def cmd_forward(args) -> int:
     cfg = _load_config(args)
     model = load_checkpoint(args.checkpoint, cfg)
-    views = load_scene_dir(args.scene, _loader_threads())
+    views = load_scene_dir(args.scene)
     rep = assemble(views)
     if rep.feature_width != cfg.model_width:
         raise InputError(
@@ -146,8 +137,9 @@ def cmd_forward(args) -> int:
 
 
 def cmd_select_views(args) -> int:
-    views = load_scene_dir(args.scene, _loader_threads())
-    point_sets = [unproject(depth, camera) for depth, camera, _, _ in views]
+    views = load_scene_dir(args.scene)
+    point_sets = [named(f"view {i}", unproject, depth, camera)
+                  for i, (depth, camera, _, _) in enumerate(views)]
     quant = Quantizer.fit(np.concatenate(point_sets), args.depth)
     candidates = build_candidates(point_sets, quant)
     result = select(candidates, args.max_views, args.min_gain)

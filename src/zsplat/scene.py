@@ -54,6 +54,16 @@ def read_json_object(path, what: str, error) -> dict:
     return decode_json_object(data, what, lambda message: error(f"{path}: {message}"))
 
 
+def named(prefix: str, call, *args):
+    """``call(*args)``; a ZsplatError it raises gains ``prefix: `` in front of
+    its message and keeps its class, exit code and byte offset."""
+    try:
+        return call(*args)
+    except ZsplatError as exc:
+        exc.args = (f"{prefix}: {exc}",)
+        raise
+
+
 def check_fields(record: dict, rules: dict, error) -> None:
     """Raise ``error(message)`` for a key of ``record`` without a rule, or for the
     first field its rule rejects (a missing field is checked as None). A rule below
@@ -143,11 +153,16 @@ _CAMERA_FIELDS = {"fx": number(0), "fy": number(0), "cx": number(), "cy": number
                   "cam_to_world": _matrix}
 _LAST_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 _LAST_ROW_TOL = 1e-9 + 1e-5 * np.abs(_LAST_ROW)
+# a rotation written with 6 decimals keeps every entry of R^T R within ~3e-6 of I
+_RIGID_TOL = 1e-5
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
 class Camera:
-    """Pinhole camera with a rigid camera-to-world transform."""
+    """Pinhole camera with a rigid camera-to-world transform. The constructor
+    checks that every field is finite, fx and fy > 0, the last row is [0, 0, 0, 1]
+    and the rotation block R has R^T R within 1e-5 of I entrywise."""
 
     fx: float
     fy: float
@@ -161,6 +176,10 @@ class Camera:
         # np.allclose(m[3], _LAST_ROW, atol=1e-9) for a matrix already finite
         if not (np.abs(m[3] - _LAST_ROW) <= _LAST_ROW_TOL).all():
             raise InputError("cam_to_world last row must be [0, 0, 0, 1]")
+        r = m[:3, :3]
+        if not (np.abs(r.T @ r - _EYE3) <= _RIGID_TOL).all():
+            raise InputError(f"cam_to_world rotation block must be orthonormal "
+                             f"(R^T R within {_RIGID_TOL} of I), got {r.tolist()}")
         vars(self).update(fx=float(self.fx), fy=float(self.fy), cx=float(self.cx),
                           cy=float(self.cy), cam_to_world=m)
 
@@ -306,7 +325,7 @@ def assemble(views) -> PointRepresentation:
     width = None
     for i, (depth, camera, colors, features) in enumerate(views):
         depth = np.asarray(depth, dtype=np.float64)
-        pts = unproject(depth, camera)
+        pts = named(f"view {i}", unproject, depth, camera)
         m = pts.shape[0]
         if m == 0:
             raise InputError(f"view {i}: depth map {depth.shape} has no pixels")
@@ -496,24 +515,18 @@ _VIEW_FILES = (("depth.tns", read_tensor), ("camera.json", read_camera),
 def load_view_dir(vdir):
     """Read depth, camera and colors; map the features, which are most of a
     view's bytes and which a request reads only for the views it selects.
-    An error's message gains the path of its file; its class, exit code and
-    byte offset stay."""
+    An error's message gains the path of its file."""
     view = []
-    try:
-        for name, read in _VIEW_FILES:
-            path = os.path.join(vdir, name)
-            view.append(read(path))
-    except ZsplatError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+    for name, read in _VIEW_FILES:
+        path = os.path.join(vdir, name)
+        view.append(named(path, read, path))
     return tuple(view)
 
 
 def load_scene_dir(path, max_workers: int = 1):
-    """Load ``view_<i>`` subdirectories in index order.
+    """Load ``view_<i>`` subdirectories in index order, on the calling thread.
 
-    ``max_workers`` > 1 reads views concurrently; the returned list is always
-    in view order, so the assembled representation does not depend on it.
+    ``max_workers`` is accepted and ignored, for callers that still pass it.
     """
     names = [d for d in os.listdir(path) if d.startswith("view_")]
     for d in names:
@@ -522,13 +535,7 @@ def load_scene_dir(path, max_workers: int = 1):
     names.sort(key=lambda d: int(d[len("view_"):]))
     if not names:
         raise InputError(f"no view_<i> directories under {path}")
-    dirs = [os.path.join(path, d) for d in names]
-    if max_workers <= 1:
-        return [load_view_dir(d) for d in dirs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(load_view_dir, dirs))
+    return [load_view_dir(os.path.join(path, d)) for d in names]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -322,12 +323,23 @@ def test_feature_width_mismatch_exits_2(tmp_path):
                  "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 2
 
 
-def test_invalid_thread_env_exits_2(tmp_path, monkeypatch):
-    scene = _gen(tmp_path)
-    monkeypatch.setenv("ZSPLAT_THREADS", "frog")
-    assert main(["select-views", "--scene", str(scene), "--max-views", "1"]) == 2
-    monkeypatch.setenv("ZSPLAT_THREADS", "0")
-    assert main(["select-views", "--scene", str(scene), "--max-views", "1"]) == 2
+def test_scene_loads_start_no_thread(tmp_path, monkeypatch):
+    scene = _gen(tmp_path, views=4)
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    started, start = [], threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setenv("ZSPLAT_THREADS", "4")
+    assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 0
+    assert main(["select-views", "--scene", str(scene), "--max-views", "2"]) == 0
+    assert started == []
 
 
 def test_missing_scene_dir_exits_2(tmp_path):
@@ -347,11 +359,14 @@ def test_hostile_scene_files_exit_2(tmp_path):
 
 
 _IDENTITY = np.eye(4).ravel().tolist()
+_SHEARED = np.eye(4)
+_SHEARED[0, 1] = 0.5
 
 
 @pytest.mark.parametrize("mat", [
     ["a"] * 16, [[1, 2], [3]], [v == 1 for v in _IDENTITY], [str(v) for v in _IDENTITY],
-], ids=["strings", "ragged", "bools", "numeric-strings"])
+    np.diag([2.0, 2.0, 2.0, 1.0]).ravel().tolist(), _SHEARED.ravel().tolist(),
+], ids=["strings", "ragged", "bools", "numeric-strings", "scaled", "sheared"])
 def test_malformed_camera_matrix_exits_2(tmp_path, capsys, mat):
     scene = _gen(tmp_path, views=1)
     camera = scene / "view_0" / "camera.json"
@@ -373,6 +388,23 @@ def test_a_view_that_fails_to_load_is_named_once(tmp_path, capsys, name, blob, m
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {message}")
     assert err.count("view_2") == 1 and "Traceback" not in err
+
+
+def test_a_view_that_fails_to_unproject_is_named_once(tmp_path, capsys):
+    scene = _gen(tmp_path, views=3, res="8x8")
+    camera = scene / "view_1" / "camera.json"
+    camera.write_text(json.dumps(dict(json.loads(camera.read_text()), fx=1e-308)))
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    capsys.readouterr()
+    for argv in (["select-views", "--max-views", "1"],
+                 ["forward", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "o"),
+                  "--config", cfg]):
+        assert main(argv + ["--scene", str(scene)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: view 1: depth map holds a non-finite value")
+        assert err.count("view 1") == 1 and "Traceback" not in err
 
 
 def test_view_payload_unlike_its_depth_map_exits_2(tmp_path, capsys):

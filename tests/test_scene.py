@@ -100,6 +100,10 @@ def test_camera_validation():
         scene.Camera(1.0, 1.0, 0.0, 0.0, bad)
     with pytest.raises(InputError):
         scene.Camera(1.0, 1.0, 0.0, 0.0, np.eye(3))
+    with pytest.raises(InputError, match="orthonormal"):
+        scene.Camera(4.0, 4.0, 1.5, 1.5, np.diag([2.0, 2.0, 2.0, 1.0]))
+    # a rotation written with 6 decimals is rigid within the tolerance
+    scene.Camera(1.0, 1.0, 0.0, 0.0, np.round(_rotation_about_y(0.8), 6))
 
 
 def test_camera_json_roundtrip(tmp_path):
@@ -570,6 +574,7 @@ def test_loaded_views_hold_at_most_one_descriptor_each(tmp_path):
     def open_fds():
         return len(os.listdir("/proc/self/fd"))
 
+    gc.collect()  # close what earlier tests left unreferenced before counting
     base = open_fds()
     loaded = scene.load_scene_dir(tmp_path / "scene")
     assert len(loaded) == n_views
