@@ -162,7 +162,8 @@ _EYE3 = np.eye(3)
 class Camera:
     """Pinhole camera with a rigid camera-to-world transform. The constructor
     checks that every field is finite, fx and fy > 0, the last row is [0, 0, 0, 1]
-    and the rotation block R has R^T R within 1e-5 of I entrywise."""
+    and the rotation block R has R^T R within 1e-5 of I entrywise and det R > 0
+    (a rotation, not a reflection)."""
 
     fx: float
     fy: float
@@ -180,6 +181,9 @@ class Camera:
         if not (np.abs(r.T @ r - _EYE3) <= _RIGID_TOL).all():
             raise InputError(f"cam_to_world rotation block must be orthonormal "
                              f"(R^T R within {_RIGID_TOL} of I), got {r.tolist()}")
+        if np.linalg.det(r) <= 0:
+            raise InputError(f"cam_to_world rotation block is mirrored (det R < 0), "
+                             f"got {r.tolist()}")
         vars(self).update(fx=float(self.fx), fy=float(self.fy), cx=float(self.cx),
                           cy=float(self.cy), cam_to_world=m)
 
@@ -524,17 +528,20 @@ def load_view_dir(vdir):
 
 
 def load_scene_dir(path, max_workers: int = 1):
-    """Load ``view_<i>`` subdirectories in index order, on the calling thread.
+    """Load the ``view_0`` ... ``view_{n-1}`` subdirectories in index order, on
+    the calling thread. A view's index is its position in the returned list,
+    so any other ``view_`` name (a gap, a leading zero) is rejected.
 
     ``max_workers`` is accepted and ignored, for callers that still pass it.
     """
-    names = [d for d in os.listdir(path) if d.startswith("view_")]
-    for d in names:
-        if not d[len("view_"):].isdecimal():
-            raise InputError(f"{d!r} under {path} is not a view_<i> directory")
-    names.sort(key=lambda d: int(d[len("view_"):]))
-    if not names:
+    found = {d for d in os.listdir(path) if d.startswith("view_")}
+    if not found:
         raise InputError(f"no view_<i> directories under {path}")
+    names = [f"view_{i}" for i in range(len(found))]
+    if found != set(names):
+        stray = ", ".join(sorted(found.difference(names)))
+        raise InputError(f"{stray} under {path}: {len(found)} views must be named "
+                         f"view_0 ... view_{len(found) - 1}")
     return [load_view_dir(os.path.join(path, d)) for d in names]
 
 

@@ -18,7 +18,9 @@ A block runs on features sorted along the Z-curve (``morton.sort_by_code``):
 
 Each op has a ``*_fwd`` variant returning a cache and a matching ``*_bwd``
 computing exact gradients by hand; the top-k block selection is treated as
-frozen (no gradient through the ranking).
+frozen (no gradient through the ranking). Both branches read and return only
+the stacked ``qkv``, so the block's backward adds their Q/K/V gradients and
+projects them back through Q/K/V once, as the forward projects once.
 """
 
 from __future__ import annotations
@@ -127,25 +129,6 @@ class ZFormerParams:
                            np.concatenate([x.bias for x in layers]), seed=0)
 
 
-def _accumulate(total: dict, part: dict) -> dict:
-    for name, (gw, gb) in part.items():
-        if name in total:
-            ow, ob = total[name]
-            total[name] = (ow + gw, ob + gb)
-        else:
-            total[name] = (gw, gb)
-    return total
-
-
-def _branch_backward(g_qkv: np.ndarray, f: np.ndarray, params: ZFormerParams, g_w_o):
-    """An attention branch's input gradient and layer gradients, given its
-    gradient of ``linear(f, params.qkv())`` and its (d_weight, d_bias) of w_o.
-    The stacked Q/K/V product takes one linear_backward."""
-    gf, gw, gb = linear_backward(g_qkv, f, params.qkv())
-    grads = dict(zip(("w_q", "w_k", "w_v"), zip(np.split(gw, 3), np.split(gb, 3))))
-    return gf, {**grads, "w_o": g_w_o}
-
-
 # ---------------------------------------------------------------------------
 # block partition helpers
 
@@ -175,7 +158,8 @@ def block_pool(x: np.ndarray, block_len: int) -> np.ndarray:
 
 
 def _unpool(g_blocks: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Adjoint of block_pool: each token receives its block's row / count."""
+    """Adjoint of a segment mean (block_pool, zorder_pool's feature mean):
+    each row receives its segment's gradient row / segment length."""
     return np.repeat(g_blocks / counts[:, None], counts, axis=0)
 
 
@@ -190,16 +174,15 @@ def _head_slices(cfg: AttentionConfig):
 # group attention
 
 
-def group_attention_fwd(f: np.ndarray, qkv: np.ndarray, params: ZFormerParams,
-                        cfg: AttentionConfig):
-    """Block-pooled attention over ``qkv``, the stacked projections of ``f``.
-    Returns (out n x model, w_blocks B x B, cache).
+def group_attention_fwd(qkv: np.ndarray, params: ZFormerParams, cfg: AttentionConfig):
+    """Block-pooled attention over ``qkv``, the stacked Q/K/V projections of
+    the Z-sorted tokens. Returns (out n x model, w_blocks B x B, cache).
 
     ``w_blocks`` is the head-mean of the block softmax matrices; with one head
     it is exactly the attention over pooled queries/keys. ``w_o`` maps the B
     block rows before they are broadcast back to their tokens.
     """
-    counts = _block_counts(f.shape[0], cfg.block_len)
+    counts = _block_counts(qkv.shape[0], cfg.block_len)
     pooled = block_pool(qkv, cfg.block_len)
     qb, kb, vb = np.split(pooled, 3, axis=1)
     slices, scale = _head_slices(cfg)
@@ -213,19 +196,20 @@ def group_attention_fwd(f: np.ndarray, qkv: np.ndarray, params: ZFormerParams,
     w_blocks = probs[0] if len(probs) == 1 else sum(probs) / len(probs)
     out = np.repeat(linear(block_out, params.w_o), counts, axis=0)
     cache = {
-        "f": f, "pooled": pooled, "counts": counts, "probs": probs,
+        "pooled": pooled, "counts": counts, "probs": probs,
         "block_out": block_out, "scale": scale, "slices": slices,
     }
     return out, w_blocks, cache
 
 
 def group_attention(f: np.ndarray, params: ZFormerParams, cfg: AttentionConfig):
-    return group_attention_fwd(f, linear(f, params.qkv()), params, cfg)[:2]
+    return group_attention_fwd(linear(f, params.qkv()), params, cfg)[:2]
 
 
 def group_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
-    """Gradient of the group branch; no gradient flows out of w_blocks (its
-    only consumer, the top-k ranking, is frozen)."""
+    """Gradient of the group branch w.r.t. its ``qkv`` and ``w_o``: returns
+    (g_qkv, (d_weight, d_bias)). No gradient flows out of w_blocks (its only
+    consumer, the top-k ranking, is frozen)."""
     counts = cache["counts"]
     g_rows = segment_sum(g_out, _starts(counts))
     g_block_out, gw_o, gb_o = linear_backward(g_rows, cache["block_out"], params.w_o)
@@ -239,7 +223,7 @@ def group_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
         g_s = softmax_rows_backward(g_p, p) * cache["scale"]
         g_qb[:, hs] = g_s @ kb[:, hs]
         g_kb[:, hs] = g_s.T @ qb[:, hs]
-    return _branch_backward(_unpool(g_pooled, counts), cache["f"], params, (gw_o, gb_o))
+    return _unpool(g_pooled, counts), (gw_o, gb_o)
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +353,22 @@ def _topk_chunked(q, k, v, selection, cfg):
 
 
 def topk_attention_fwd(
-    f: np.ndarray,
     qkv: np.ndarray,
     w_blocks: np.ndarray,
     params: ZFormerParams,
     cfg: AttentionConfig,
     selection: np.ndarray | None = None,
 ):
-    """Sparse branch over ``qkv``, the stacked projections of ``f``, with a
+    """Sparse branch over ``qkv``, the stacked Q/K/V projections, with a
     gradient cache: the per-block loop keeps every block's softmax. Returns
     (out, cache)."""
-    counts, selection = _selection(f.shape[0], w_blocks, cfg, selection)
+    counts, selection = _selection(qkv.shape[0], w_blocks, cfg, selection)
     q, k, v = np.split(qkv, 3, axis=1)
     tok_out, blocks = _topk_loop_fwd(q, k, v, selection, counts, cfg)
     out = linear(tok_out, params.w_o)
     slices, scale = _head_slices(cfg)
     cache = {
-        "f": f, "qkv": qkv, "blocks": blocks, "tok_out": tok_out,
+        "qkv": qkv, "blocks": blocks, "tok_out": tok_out,
         "selection": selection, "slices": slices, "scale": scale,
     }
     return out, cache
@@ -412,7 +395,8 @@ def topk_attention(
 
 
 def topk_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
-    """Gradient of the sparse branch with the block selection held fixed."""
+    """Gradient of the sparse branch w.r.t. its ``qkv`` and ``w_o``, with the
+    block selection held fixed: returns (g_qkv, (d_weight, d_bias))."""
     q, k, v = np.split(cache["qkv"], 3, axis=1)
     g_tok, gw_o, gb_o = linear_backward(g_out, cache["tok_out"], params.w_o)
     g_qkv = np.zeros_like(cache["qkv"])
@@ -427,7 +411,7 @@ def topk_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
             g_s = softmax_rows_backward(g_p, p) * cache["scale"]
             g_q[rows, hs] += g_s @ ks[:, hs]
             np.add.at(g_k[:, hs], idx, g_s.T @ q[rows, hs])
-    return _branch_backward(g_qkv, cache["f"], params, (gw_o, gb_o))
+    return g_qkv, (gw_o, gb_o)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +485,7 @@ def zorder_pool_fwd(rep, codes: np.ndarray, levels: int, params: ZFormerParams,
         positions = coarse.cell_centers(ijk)
     view_of = rep.view_of[starts]
     pooled = type(rep)(positions, pooled_feat, colors, view_of)
-    cache = {"starts": starts, "counts": counts, "mean_feat": mean_feat,
-             "n_in": len(rep)}
+    cache = {"starts": starts, "counts": counts, "mean_feat": mean_feat}
     return pooled, new_codes, cache
 
 
@@ -514,8 +497,7 @@ def zorder_pool(rep, codes, levels, params, quantizer, cfg: AttentionConfig):
 def zorder_pool_bwd(g_features: np.ndarray, cache: dict, params: ZFormerParams):
     """Feature-path gradient (positions/colors carry no learned parameters)."""
     g_mean, gw, gb = linear_backward(g_features, cache["mean_feat"], params.pool_proj)
-    g_in = np.repeat(g_mean / cache["counts"][:, None], cache["counts"], axis=0)
-    return g_in, {"pool_proj": (gw, gb)}
+    return _unpool(g_mean, cache["counts"]), {"pool_proj": (gw, gb)}
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +514,16 @@ def zformer_block_fwd(rep, quantizer: Quantizer, params: ZFormerParams,
     rep_s, codes, perm = sort_by_code(rep, quantizer)
     f = rep_s.features
     qkv = linear(f, params.qkv())
-    grp_out, w_blocks, c_grp = group_attention_fwd(f, qkv, params, cfg)
-    sel_out, c_sel = topk_attention_fwd(f, qkv, w_blocks, params, cfg, selection)
+    grp_out, w_blocks, c_grp = group_attention_fwd(qkv, params, cfg)
+    sel_out, c_sel = topk_attention_fwd(qkv, w_blocks, params, cfg, selection)
     fused, c_fuse = gated_fuse_fwd(f, grp_out, sel_out, params)
     f_new = f + fused
     rep_mid = rep_s.with_features(f_new)
     pooled, new_codes, c_pool = zorder_pool_fwd(
         rep_mid, codes, cfg.pool_levels, params, quantizer, cfg
     )
-    cache = {"perm": perm, "grp": c_grp, "sel": c_sel, "fuse": c_fuse,
-             "pool": c_pool, "n_in": len(rep)}
+    cache = {"perm": perm, "f": f, "grp": c_grp, "sel": c_sel, "fuse": c_fuse,
+             "pool": c_pool}
     return pooled, new_codes, cache
 
 
@@ -551,7 +533,7 @@ def zformer_block(rep, quantizer, params, cfg):
     rep_s, codes, _ = sort_by_code(rep, quantizer)
     f = rep_s.features
     qkv = linear(f, params.qkv())
-    grp_out, w_blocks, _ = group_attention_fwd(f, qkv, params, cfg)
+    grp_out, w_blocks, _ = group_attention_fwd(qkv, params, cfg)
     sel_out = _topk_attention(qkv, w_blocks, params, cfg)
     fused = gated_fuse(f, grp_out, sel_out, params)
     rep_mid = rep_s.with_features(f + fused)
@@ -560,15 +542,20 @@ def zformer_block(rep, quantizer, params, cfg):
 
 def zformer_block_bwd(g_features: np.ndarray, cache: dict, params: ZFormerParams):
     """Gradients of pooled output features w.r.t. every layer and the input
-    features (returned in the caller's pre-sort order)."""
-    g_f_new, grads = zorder_pool_bwd(g_features, cache["pool"], params)
+    features (returned in the caller's pre-sort order). Both branches' Q/K/V
+    gradients are summed first, so the stacked projection takes one backward."""
+    g_f_new, g_pool = zorder_pool_bwd(g_features, cache["pool"], params)
     gf_fuse, g_grp, g_sel, g_gate = gated_fuse_bwd(g_f_new, cache["fuse"], params)
-    _accumulate(grads, g_gate)
-    gf_grp, g_attn = group_attention_bwd(g_grp, cache["grp"], params)
-    _accumulate(grads, g_attn)
-    gf_sel, g_topk = topk_attention_bwd(g_sel, cache["sel"], params)
-    _accumulate(grads, g_topk)
-    g_sorted = g_f_new + gf_fuse + gf_grp + gf_sel
+    g_qkv_grp, (gw_grp, gb_grp) = group_attention_bwd(g_grp, cache["grp"], params)
+    g_qkv_sel, (gw_sel, gb_sel) = topk_attention_bwd(g_sel, cache["sel"], params)
+    gf_qkv, gw, gb = linear_backward(g_qkv_grp + g_qkv_sel, cache["f"], params.qkv())
+    grads = {
+        **dict(zip(("w_q", "w_k", "w_v"), zip(np.split(gw, 3), np.split(gb, 3)))),
+        "w_o": (gw_grp + gw_sel, gb_grp + gb_sel),
+        **g_gate,
+        **g_pool,
+    }
+    g_sorted = g_f_new + gf_fuse + gf_qkv
     g_input = np.empty_like(g_sorted)
     g_input[cache["perm"]] = g_sorted
     return g_input, grads

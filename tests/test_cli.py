@@ -94,21 +94,6 @@ def test_forward_is_deterministic_and_writes_level_plys(tmp_path):
     assert len(g2) < len(g1) < 2 * 16 * 16
 
 
-def test_forward_output_unaffected_by_loader_thread_count(tmp_path, monkeypatch):
-    scene = _gen(tmp_path)
-    cfg = _write_cfg(tmp_path / "cfg.json")
-    ckpt = tmp_path / "ckpt"
-    main(["init-checkpoint", "--out", str(ckpt), "--config", cfg])
-    blobs = []
-    for threads in ("1", "7"):
-        monkeypatch.setenv("ZSPLAT_THREADS", threads)
-        out_dir = tmp_path / f"t{threads}"
-        assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
-                     "--out-dir", str(out_dir), "--config", cfg]) == 0
-        blobs.append((out_dir / "level_2.ply").read_bytes())
-    assert blobs[0] == blobs[1]
-
-
 def test_select_views_writes_selection_json(tmp_path, capsys):
     scene = _gen(tmp_path, views=4, kind="sphere", res="24x24")
     out = tmp_path / "sel.json"
@@ -366,7 +351,8 @@ _SHEARED[0, 1] = 0.5
 @pytest.mark.parametrize("mat", [
     ["a"] * 16, [[1, 2], [3]], [v == 1 for v in _IDENTITY], [str(v) for v in _IDENTITY],
     np.diag([2.0, 2.0, 2.0, 1.0]).ravel().tolist(), _SHEARED.ravel().tolist(),
-], ids=["strings", "ragged", "bools", "numeric-strings", "scaled", "sheared"])
+    np.diag([-1.0, 1.0, 1.0, 1.0]).ravel().tolist(),
+], ids=["strings", "ragged", "bools", "numeric-strings", "scaled", "sheared", "mirrored"])
 def test_malformed_camera_matrix_exits_2(tmp_path, capsys, mat):
     scene = _gen(tmp_path, views=1)
     camera = scene / "view_0" / "camera.json"

@@ -3,9 +3,9 @@
 Each target starts from a valid file or record and applies mutations: byte
 flips, truncation, JSON tokens (``true``, ``[``, ``1e999``, long digit runs)
 spliced into headers, field values swapped for arbitrary JSON, and scenes
-whose views mix resolutions and feature widths. Any other exception, or a
-``RuntimeWarning`` from package code (an error under the project's warning
-filter), fails the test. Examples are derandomized with a fixed budget, so
+whose views mix resolutions and feature widths. Any other exception, or any
+warning raised in package code (an error under the project's warning filter),
+fails the test. Examples are derandomized with a fixed budget, so
 the suite is reproducible.
 """
 

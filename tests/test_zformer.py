@@ -11,7 +11,14 @@ from gradutil import grads_to_vec, layer_to_vec, vec_to_layer
 from zsplat import reference, zformer
 from zsplat.errors import ConfigError, InputError, RangeError
 from zsplat.morton import Quantizer, sort_by_code
-from zsplat.numerics import LinearLayer, grad_check, linear, segment_sum, uniform01
+from zsplat.numerics import (
+    LinearLayer,
+    grad_check,
+    linear,
+    linear_backward,
+    segment_sum,
+    uniform01,
+)
 from zsplat.scene import PointRepresentation
 
 
@@ -252,7 +259,7 @@ def test_pinned_selection_is_validated():
         with pytest.raises(error):
             zformer.topk_attention(f, w_blocks, params, cfg, selection=bad)
         with pytest.raises(error):
-            zformer.topk_attention_fwd(f, qkv, w_blocks, params, cfg, selection=bad)
+            zformer.topk_attention_fwd(qkv, w_blocks, params, cfg, selection=bad)
 
 
 def test_resolve_k_half_rule():
@@ -471,16 +478,34 @@ def test_block_gradient_wrt_input_features():
 
 
 def test_gradients_sum_contributions_from_both_branches():
-    # shared projections receive gradient from group and top-k paths: zeroing
-    # the upstream of one branch must change the w_q gradient
+    # shared projections receive gradient from group and top-k paths: each
+    # branch alone gives a nonzero w_q gradient, and neither alone is the sum
     cfg, params, rep, quant, selection = _grad_setup()
     pooled, _, cache = zformer.zformer_block_fwd(rep, quant, params, cfg, selection)
     _, grads_full = zformer.zformer_block_bwd(pooled.features, cache, params)
-    _, grads_grp = zformer.group_attention_bwd(
-        np.ones_like(rep.features), cache["grp"], params
-    )
-    _, grads_sel = zformer.topk_attention_bwd(
-        np.ones_like(rep.features), cache["sel"], params
-    )
-    assert not np.allclose(grads_grp["w_q"][0], grads_full["w_q"][0])
-    assert not np.allclose(grads_sel["w_q"][0], grads_grp["w_q"][0])
+    upstream = np.ones_like(rep.features)
+    g_qkv_grp, _ = zformer.group_attention_bwd(upstream, cache["grp"], params)
+    g_qkv_sel, _ = zformer.topk_attention_bwd(upstream, cache["sel"], params)
+    hw = cfg.head_width
+    gw_q_grp = g_qkv_grp[:, :hw].T @ cache["f"]
+    gw_q_sel = g_qkv_sel[:, :hw].T @ cache["f"]
+    assert np.abs(gw_q_grp).max() > 0 and np.abs(gw_q_sel).max() > 0
+    assert not np.allclose(gw_q_grp, grads_full["w_q"][0])
+    assert not np.allclose(gw_q_sel, gw_q_grp)
+
+
+def test_block_backward_projects_qkv_once(monkeypatch):
+    # the branches return gradients of the stacked Q/K/V product, which the
+    # block sums and sends through one linear_backward
+    cfg, params, rep, quant, selection = _grad_setup()
+    stacked = params.qkv().weight
+    calls = []
+
+    def counted(grad, x, layer):
+        calls.append(np.array_equal(layer.weight, stacked))
+        return linear_backward(grad, x, layer)
+
+    pooled, _, cache = zformer.zformer_block_fwd(rep, quant, params, cfg, selection)
+    monkeypatch.setattr(zformer, "linear_backward", counted)
+    zformer.zformer_block_bwd(pooled.features, cache, params)
+    assert sum(calls) == 1, f"{sum(calls)} backward passes through the stacked Q/K/V"
