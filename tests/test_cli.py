@@ -320,7 +320,6 @@ def test_scene_loads_start_no_thread(tmp_path, monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
-    monkeypatch.setenv("ZSPLAT_THREADS", "4")
     assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
                  "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 0
     assert main(["select-views", "--scene", str(scene), "--max-views", "2"]) == 0
@@ -465,6 +464,20 @@ def test_demo_script_writes_a_ply_per_level(tmp_path):
     assert proc.returncode == 0, proc.stderr
     plys = sorted(p.name for p in (tmp_path / "demo" / "gaussians").iterdir())
     assert plys == ["level_1.ply", "level_2.ply"]
+
+
+def test_cli_and_pipeline_import_no_scipy():
+    # numpy is the only runtime dependency: a fresh process that imports the
+    # CLI and the pipeline holds no scipy module
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, zsplat.cli, zsplat.pipeline; "
+         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_malformed_scene_config_exits_2(tmp_path):

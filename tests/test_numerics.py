@@ -1,3 +1,7 @@
+import decimal
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,8 +61,10 @@ def test_linear_matches_triple_loop():
                 want[i, j] += x[i, k] * layer.weight[j, k]
     # the product accumulates in its operands' dtype
     for dtype, atol in ((np.float64, 1e-12), (np.float32, 1e-6)):
-        got = numerics.linear(x.astype(dtype), layer.astype(dtype))
+        cast = layer.astype(dtype)
+        got = numerics.linear(x.astype(dtype), cast)
         assert got.dtype == dtype
+        assert np.array_equal(got, x.astype(dtype) @ cast.weight.T + cast.bias)
         assert np.allclose(got, want, rtol=0, atol=atol)
 
 
@@ -94,6 +100,46 @@ def test_segment_sum_matches_float64_loop(case):
     rtol = 1e-6 if x.dtype == np.float32 else 1e-12
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= rtol * magnitude)
+
+
+def _sequential_sums(x, starts):
+    """Per-segment loop in x's dtype: start at 0.0, add the rows in row order."""
+    ends = list(starts[1:]) + [len(x)]
+    out = np.zeros((len(starts),) + x.shape[1:], x.dtype)
+    for acc, a, b in zip(out, starts, ends):
+        for row in x[a:b]:
+            acc += row
+    return out
+
+
+def _assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@given(_segmented_rows())
+@settings(max_examples=150, deadline=None)
+def test_segment_sum_is_bit_equal_to_sequential_loop(case):
+    x, starts = case
+    _assert_bit_equal(numerics.segment_sum(x, starts), _sequential_sums(x, starts))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 2, 96])
+@pytest.mark.parametrize("layout", ["one-segment", "length-1", "past-cutoff", "mixed"])
+def test_segment_sum_is_bit_equal_on_degenerate_layouts(layout, width, dtype):
+    n, cut = 1000, numerics._SHORT_SEGMENT
+    x = ((numerics.uniform01(81, n * width) * 2 - 1) * 1e3).reshape(n, width).astype(dtype)
+    # a column that is -0.0 over a whole segment sums to +0.0, as from 0.0
+    x[: n // 2, 0] = -0.0
+    starts = {
+        "one-segment": [0],
+        "length-1": range(n),
+        "past-cutoff": range(0, n, cut + 1),
+        "mixed": [0, 1, 2, 3 + cut, 4 + cut, 5 + 3 * cut, 6 + 3 * cut],
+    }[layout]
+    starts = np.array(starts, dtype=np.int64)
+    _assert_bit_equal(numerics.segment_sum(x, starts), _sequential_sums(x, starts))
 
 
 @given(_segmented_rows(), st.sampled_from(["unsorted", "repeated", "nonzero-first", "past-end"]))
@@ -161,6 +207,64 @@ def test_sigmoid_is_stable_at_extremes():
     assert np.isfinite(s).all()
     assert s[2] == 0.5
     assert 0.0 <= s[0] < 1e-8 and 1.0 - 1e-8 < s[4] <= 1.0
+
+
+def _exact_sigmoid(v: float) -> float:
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return float(1 / (1 + decimal.Decimal(-v).exp()))
+
+
+@given(st.floats(min_value=-1e4, max_value=1e4), st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=200, deadline=None)
+def test_sigmoid_stays_within_stated_bound_and_is_odd(value, dtype):
+    bound = 1e-7 if dtype == np.float32 else 4.5e-16
+    x = np.array([value, -value], dtype)
+    s = numerics.sigmoid(x)
+    assert s.dtype == dtype
+    assert np.all(np.abs(s - [_exact_sigmoid(float(v)) for v in x]) <= bound)
+    # sigma(-x) = 1 - sigma(x)
+    assert abs(float(s[1]) - (1.0 - float(s[0]))) <= bound
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_and_erf_are_quiet_at_extremes(dtype):
+    x = np.array([-np.inf, -1e4, 0.0, 1e4, np.inf], dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = numerics.sigmoid(x)
+        e = numerics.erf(x)
+    assert s.dtype == e.dtype == dtype
+    assert s.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+    assert e.tolist() == [-1.0, -1.0, 0.0, 1.0, 1.0]
+
+
+def _exact_gelu(v: float) -> float:
+    return 0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0)))
+
+
+@given(st.lists(st.floats(min_value=-1e4, max_value=1e4, width=32), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_float32_erf_and_gelu_stay_within_stated_bounds(values):
+    x = np.array(values, np.float32)
+    x64 = x.astype(np.float64)
+    got_erf, got_gelu = numerics.erf(x), numerics.gelu(x)
+    assert got_erf.dtype == got_gelu.dtype == np.float32
+    want_erf = np.array([math.erf(v) for v in x64])
+    assert np.all(np.abs(got_erf - want_erf) <= 7e-7)
+    want_gelu = np.array([_exact_gelu(v) for v in x64])
+    assert np.all(np.abs(got_gelu - want_gelu) <= 2.5e-7 * np.maximum(1.0, np.abs(x64)))
+    # float64 is math.erf itself
+    _assert_bit_equal(numerics.erf(x64), want_erf)
+
+
+def test_float32_erf_is_the_same_across_tiles():
+    # more elements than two tiles, in a shape that does not divide them
+    x = np.linspace(-5, 5, 7 * 4700, dtype=np.float32).reshape(7, 4700)
+    got = numerics.erf(x)
+    assert got.shape == x.shape and got.dtype == np.float32
+    pieces = np.array_split(x.ravel(), 100)
+    _assert_bit_equal(got.ravel(), np.concatenate([numerics.erf(p) for p in pieces]))
 
 
 def test_gelu_frozen_values():
