@@ -18,7 +18,7 @@ import math
 import mmap
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from numbers import Integral, Real
 
@@ -266,7 +266,12 @@ class PointRepresentation:
     """Structure-of-arrays point set carried through the transformer.
 
     positions (M, 3) float64, features (M, C) float32, colors (M, 3) float64
-    in [0, 1], view_of (M,) int32 source-view index.
+    in [0, 1], view_of (M,) int32 source-view index; each array C-contiguous
+    and the floating ones finite.
+
+    The constructor checks all four arrays. ``take``, ``with_features`` and
+    ``derived`` build on arrays of a representation that is already checked,
+    so they check only what they compute anew: each array is checked once.
     """
 
     positions: np.ndarray
@@ -276,25 +281,41 @@ class PointRepresentation:
 
     def __post_init__(self):
         pos = np.ascontiguousarray(self.positions, dtype=np.float64)
-        feat = np.ascontiguousarray(self.features)
         col = np.ascontiguousarray(self.colors, dtype=np.float64)
         view = np.ascontiguousarray(self.view_of, dtype=np.int32)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise InputError(f"positions must be (M, 3), got {pos.shape}")
         m = pos.shape[0]
-        if feat.ndim != 2 or feat.shape[0] != m:
-            raise InputError(f"features must be (M, C), got {feat.shape} for M={m}")
+        feat = _checked_features(self.features, m)
         if col.shape != (m, 3):
             raise InputError(f"colors must be (M, 3), got {col.shape}")
         if view.shape != (m,):
             raise InputError(f"view_of must be (M,), got {view.shape}")
-        for name, arr in (("positions", pos), ("features", feat), ("colors", col)):
-            if not np.isfinite(arr).all():
-                raise InputError(f"{name} contain non-finite values")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "features", feat)
-        object.__setattr__(self, "colors", col)
-        object.__setattr__(self, "view_of", view)
+        for name, arr in (("positions", pos), ("colors", col)):
+            _check_finite(name, arr)
+        self._set(pos, feat, col, view)
+
+    def _set(self, positions, features, colors, view_of) -> None:
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "view_of", view_of)
+
+    @classmethod
+    def _unchecked(cls, positions, features, colors, view_of) -> "PointRepresentation":
+        """An instance over arrays already in checked form."""
+        rep = cls.__new__(cls)
+        rep._set(positions, features, colors, view_of)
+        return rep
+
+    @classmethod
+    def derived(cls, positions, features, colors, view_of) -> "PointRepresentation":
+        """Points computed from a checked representation. ``features`` is
+        checked, and ``positions`` for finiteness, since arithmetic on finite
+        values can overflow; the arrays must otherwise be in checked form."""
+        _check_finite("positions", positions)
+        return cls._unchecked(positions, _checked_features(features, len(positions)),
+                              colors, view_of)
 
     def __len__(self) -> int:
         return self.positions.shape[0]
@@ -304,8 +325,13 @@ class PointRepresentation:
         return self.features.shape[1]
 
     def take(self, index: np.ndarray) -> "PointRepresentation":
-        """Reindex every array with the same permutation / selection."""
-        return PointRepresentation(
+        """Reindex every array with the same permutation / selection, a 1-D
+        array of indices or a boolean mask. The rows come from checked arrays,
+        so nothing is checked again."""
+        index = np.asarray(index)
+        if index.ndim != 1:
+            raise InputError(f"take needs a 1-D index, got shape {index.shape}")
+        return self._unchecked(
             self.positions[index],
             self.features[index],
             self.colors[index],
@@ -313,7 +339,22 @@ class PointRepresentation:
         )
 
     def with_features(self, features: np.ndarray) -> "PointRepresentation":
-        return replace(self, features=features)
+        """The same points with new ``features``; only they are checked."""
+        return self._unchecked(self.positions, _checked_features(features, len(self)),
+                               self.colors, self.view_of)
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} contain non-finite values")
+
+
+def _checked_features(features, m: int) -> np.ndarray:
+    feat = np.ascontiguousarray(features)
+    if feat.ndim != 2 or feat.shape[0] != m:
+        raise InputError(f"features must be (M, C), got {feat.shape} for M={m}")
+    _check_finite("features", feat)
+    return feat
 
 
 def assemble(views) -> PointRepresentation:

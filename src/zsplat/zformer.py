@@ -4,13 +4,16 @@ A block runs on features sorted along the Z-curve (``morton.sort_by_code``):
 
 1. group attention — queries/keys/values (one projection, shared with top-k)
    are mean-pooled over contiguous blocks of ``block_len`` tokens, each mean a
-   segment sum (``numerics.segment_sum``) over the Z-sorted rows; block-level
-   softmax attention produces both a coarse output and the block affinities;
+   sum over a strided view of the Z-sorted rows; block-level softmax
+   attention produces both a coarse output and the block affinities;
 2. top-k attention — each query block attends to the raw tokens of the k
    blocks its affinity row ranks highest (its own block always included), so
-   the full token-by-token score matrix is never materialized;
-3. gated fusion — two per-token sigmoid gates mix the branch outputs, which
-   are added to the input features (residual);
+   the full token-by-token score matrix is never materialized; the inference
+   kernel divides by the softmax sums after the value product;
+3. gated fusion — two per-token sigmoid gates mix the branch outputs in head
+   space, ``w_o`` projects the mix once (``w_o`` is linear, so this equals
+   gating the two projected branches), and the result is added to the input
+   features (residual);
 4. Z-order pooling — tokens whose codes agree after dropping ``pool_levels``
    levels collapse to one point (mean features through a projection, mean
    colors, cell-center positions); a cell's members are a contiguous run of
@@ -18,8 +21,9 @@ A block runs on features sorted along the Z-curve (``morton.sort_by_code``):
 
 Each op has a ``*_fwd`` variant returning a cache and a matching ``*_bwd``
 computing exact gradients by hand; the top-k block selection is treated as
-frozen (no gradient through the ranking). Both branches read and return only
-the stacked ``qkv``, so the block's backward adds their Q/K/V gradients and
+frozen (no gradient through the ranking). Both branches read the stacked
+``qkv`` and return head-space outputs, so the block's backward takes ``w_o``'s
+gradient from the fusion alone, adds the branches' Q/K/V gradients and
 projects them back through Q/K/V once, as the forward projects once.
 """
 
@@ -146,15 +150,30 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
+def _block_sums(x: np.ndarray, block_len: int) -> np.ndarray:
+    """Sums over contiguous blocks of ``block_len`` rows, the last block
+    possibly short, in ``x``'s dtype.
+
+    The whole blocks are one reduction down the middle axis of an
+    (blocks, block_len, width) view, which numpy adds row by row from +0.0,
+    as ``segment_sum`` does (a one-column ``x`` is summed pairwise instead)."""
+    n, width = x.shape
+    m = n // block_len
+    sums = np.empty((-(-n // block_len), width), x.dtype)
+    x[: m * block_len].reshape(m, block_len, width).sum(axis=1, out=sums[:m])
+    if n % block_len:
+        x[m * block_len :].sum(axis=0, out=sums[m])
+    return sums
+
+
 def block_pool(x: np.ndarray, block_len: int) -> np.ndarray:
     """Mean over contiguous blocks of rows; a short final block averages over
     its actual length."""
     n = x.shape[0]
     if n == 0:
         raise InputError("cannot block-pool zero rows")
-    counts = _block_counts(n, block_len)
-    sums = segment_sum(x, _starts(counts))
-    return sums / counts[:, None].astype(sums.dtype)
+    sums = _block_sums(x, block_len)
+    return sums / _block_counts(n, block_len)[:, None].astype(sums.dtype)
 
 
 def _unpool(g_blocks: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -174,13 +193,13 @@ def _head_slices(cfg: AttentionConfig):
 # group attention
 
 
-def group_attention_fwd(qkv: np.ndarray, params: ZFormerParams, cfg: AttentionConfig):
+def group_attention_fwd(qkv: np.ndarray, cfg: AttentionConfig):
     """Block-pooled attention over ``qkv``, the stacked Q/K/V projections of
-    the Z-sorted tokens. Returns (out n x model, w_blocks B x B, cache).
+    the Z-sorted tokens. Returns (out n x head, w_blocks B x B, cache).
 
     ``w_blocks`` is the head-mean of the block softmax matrices; with one head
-    it is exactly the attention over pooled queries/keys. ``w_o`` maps the B
-    block rows before they are broadcast back to their tokens.
+    it is exactly the attention over pooled queries/keys. ``out`` repeats each
+    block's head-space output for its tokens; ``gated_fuse`` applies ``w_o``.
     """
     counts = _block_counts(qkv.shape[0], cfg.block_len)
     pooled = block_pool(qkv, cfg.block_len)
@@ -194,25 +213,25 @@ def group_attention_fwd(qkv: np.ndarray, params: ZFormerParams, cfg: AttentionCo
         probs.append(p)
         block_out[:, hs] = p @ vb[:, hs]
     w_blocks = probs[0] if len(probs) == 1 else sum(probs) / len(probs)
-    out = np.repeat(linear(block_out, params.w_o), counts, axis=0)
+    out = np.repeat(block_out, counts, axis=0)
     cache = {
-        "pooled": pooled, "counts": counts, "probs": probs,
-        "block_out": block_out, "scale": scale, "slices": slices,
+        "pooled": pooled, "counts": counts, "block_len": cfg.block_len,
+        "probs": probs, "scale": scale, "slices": slices,
     }
     return out, w_blocks, cache
 
 
 def group_attention(f: np.ndarray, params: ZFormerParams, cfg: AttentionConfig):
-    return group_attention_fwd(linear(f, params.qkv()), params, cfg)[:2]
+    """Group branch of the Z-sorted features ``f``: (out n x head, w_blocks)."""
+    return group_attention_fwd(linear(f, params.qkv()), cfg)[:2]
 
 
-def group_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
-    """Gradient of the group branch w.r.t. its ``qkv`` and ``w_o``: returns
-    (g_qkv, (d_weight, d_bias)). No gradient flows out of w_blocks (its only
+def group_attention_bwd(g_out: np.ndarray, cache: dict) -> np.ndarray:
+    """Gradient of the group branch w.r.t. its ``qkv``, given the gradient of
+    its head-space output. No gradient flows out of w_blocks (its only
     consumer, the top-k ranking, is frozen)."""
     counts = cache["counts"]
-    g_rows = segment_sum(g_out, _starts(counts))
-    g_block_out, gw_o, gb_o = linear_backward(g_rows, cache["block_out"], params.w_o)
+    g_block_out = _block_sums(g_out, cache["block_len"])
     qb, kb, vb = np.split(cache["pooled"], 3, axis=1)
     g_pooled = np.zeros_like(cache["pooled"])
     g_qb, g_kb, g_vb = np.split(g_pooled, 3, axis=1)
@@ -223,7 +242,7 @@ def group_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
         g_s = softmax_rows_backward(g_p, p) * cache["scale"]
         g_qb[:, hs] = g_s @ kb[:, hs]
         g_kb[:, hs] = g_s.T @ qb[:, hs]
-    return _unpool(g_pooled, counts), (gw_o, gb_o)
+    return _unpool(g_pooled, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +254,24 @@ def select_blocks(w_blocks: np.ndarray, k: int) -> np.ndarray:
     ascending. A block's own index is always included; remaining slots take
     the highest-affinity blocks, ties resolved toward the lower index.
 
-    Each row keeps every entry above its k-th largest value, then the
-    lowest-index entries equal to it; one partition finds that value, so no
-    row is fully sorted. A NaN ranks as -inf."""
+    Each row keeps every entry at or above its k-th largest value; one
+    partition finds that value, so no row is fully sorted. Only a row with
+    more entries equal to it than slots left is ranked again, keeping the
+    lowest-index ones. A NaN ranks as -inf."""
     n_blocks = w_blocks.shape[0]
     if not 1 <= k <= n_blocks:
         raise RangeError(f"k must be in [1, {n_blocks}], got {k}")
     ranked = np.fmax(w_blocks, -np.inf, dtype=np.promote_types(w_blocks.dtype, np.float32))
     np.fill_diagonal(ranked, np.inf)
     kth = np.partition(ranked, n_blocks - k, axis=1)[:, n_blocks - k, None]
-    above = ranked > kth
-    tied = ranked == kth
-    room = k - above.sum(axis=1, keepdims=True)
-    keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    keep = ranked >= kth
+    over = np.flatnonzero(keep.sum(axis=1) > k)
+    if over.size:
+        rows, row_kth = ranked[over], kth[over]
+        above = rows > row_kth
+        tied = rows == row_kth
+        room = k - above.sum(axis=1, keepdims=True)
+        keep[over] = above | (tied & (np.cumsum(tied, axis=1) <= room))
     return np.nonzero(keep)[1].reshape(n_blocks, k)
 
 
@@ -278,9 +302,11 @@ def _selection(n: int, w_blocks: np.ndarray, cfg: AttentionConfig, selection):
 def _topk_loop_fwd(q, k, v, selection, counts, cfg):
     """Reference path: one python iteration per query block, keeping each
     block's softmax. It builds the gradient cache and is the oracle the
-    chunked kernel is checked against."""
+    chunked kernel is checked against. q is scaled before the products, as
+    the kernel scales it, so both paths round the scores alike."""
     starts = _starts(counts)
     slices, scale = _head_slices(cfg)
+    q_scaled = q * scale
     tok_out = np.empty_like(q)
     blocks = []
     for i in range(len(counts)):
@@ -290,8 +316,7 @@ def _topk_loop_fwd(q, k, v, selection, counts, cfg):
         ks, vs = k[idx], v[idx]
         probs = []
         for hs in slices:
-            scores = (q[rows, hs] @ ks[:, hs].T) * scale
-            p = softmax_rows(scores)
+            p = softmax_rows(q_scaled[rows, hs] @ ks[:, hs].T)
             probs.append(p)
             tok_out[rows, hs] = p @ vs[:, hs]
         blocks.append({"rows": rows, "idx": idx, "probs": probs})
@@ -307,6 +332,10 @@ def _topk_chunked(q, k, v, selection, cfg):
     so every gathered key/value block is one contiguous run, and q is scaled
     once. A padded final block's key columns score -inf, so the softmax gives
     them no weight, and its padded query rows are dropped from the output.
+
+    The softmax is normalised after the value product: the exponentiated
+    scores go straight into ``s @ V``, and the block_len x width output is
+    divided by the row sums instead of the block_len x k·L scores.
 
     The gather/score buffers are allocated once and reused for every chunk,
     and each chunk's products are written straight into the output. A chunk
@@ -347,37 +376,35 @@ def _topk_chunked(q, k, v, selection, cfg):
                 slots[padded[0], :, padded[1], block_len - pad :] = -np.inf
             s -= s.max(axis=-1, keepdims=True)
             np.exp(s, out=s)
-            s /= s.sum(axis=-1, keepdims=True)
-            np.matmul(s, vs[:m, :, hs], out=out[c0:c1, :, hs])
+            o = out[c0:c1, :, hs]
+            np.matmul(s, vs[:m, :, hs], out=o)
+            o /= s.sum(axis=-1, keepdims=True)
     return out.reshape(-1, width)[:n]
 
 
 def topk_attention_fwd(
     qkv: np.ndarray,
     w_blocks: np.ndarray,
-    params: ZFormerParams,
     cfg: AttentionConfig,
     selection: np.ndarray | None = None,
 ):
     """Sparse branch over ``qkv``, the stacked Q/K/V projections, with a
     gradient cache: the per-block loop keeps every block's softmax. Returns
-    (out, cache)."""
+    (out n x head, cache)."""
     counts, selection = _selection(qkv.shape[0], w_blocks, cfg, selection)
     q, k, v = np.split(qkv, 3, axis=1)
     tok_out, blocks = _topk_loop_fwd(q, k, v, selection, counts, cfg)
-    out = linear(tok_out, params.w_o)
     slices, scale = _head_slices(cfg)
     cache = {
-        "qkv": qkv, "blocks": blocks, "tok_out": tok_out,
-        "selection": selection, "slices": slices, "scale": scale,
+        "qkv": qkv, "blocks": blocks, "selection": selection,
+        "slices": slices, "scale": scale,
     }
-    return out, cache
+    return tok_out, cache
 
 
-def _topk_attention(qkv, w_blocks, params, cfg, selection=None) -> np.ndarray:
+def _topk_attention(qkv, w_blocks, cfg, selection=None) -> np.ndarray:
     _, selection = _selection(qkv.shape[0], w_blocks, cfg, selection)
-    tok_out = _topk_chunked(*np.split(qkv, 3, axis=1), selection, cfg)
-    return linear(tok_out, params.w_o)
+    return _topk_chunked(*np.split(qkv, 3, axis=1), selection, cfg)
 
 
 def topk_attention(
@@ -387,18 +414,18 @@ def topk_attention(
     cfg: AttentionConfig,
     selection: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sparse branch. Each query block attends to the raw keys/values of its
-    selected blocks only; peak intermediate size is O(n * k * block_len / B),
-    never n x n. Pass ``selection`` to pin the block choice (gradient checks
-    freeze it); otherwise it is derived from ``w_blocks``."""
-    return _topk_attention(linear(f, params.qkv()), w_blocks, params, cfg, selection)
+    """Sparse branch of the Z-sorted features ``f``, in head space (n x head).
+    Each query block attends to the raw keys/values of its selected blocks
+    only; peak intermediate size is O(n * k * block_len / B), never n x n.
+    Pass ``selection`` to pin the block choice (gradient checks freeze it);
+    otherwise it is derived from ``w_blocks``."""
+    return _topk_attention(linear(f, params.qkv()), w_blocks, cfg, selection)
 
 
-def topk_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
-    """Gradient of the sparse branch w.r.t. its ``qkv`` and ``w_o``, with the
-    block selection held fixed: returns (g_qkv, (d_weight, d_bias))."""
+def topk_attention_bwd(g_tok: np.ndarray, cache: dict) -> np.ndarray:
+    """Gradient of the sparse branch w.r.t. its ``qkv``, given the gradient of
+    its head-space output, with the block selection held fixed."""
     q, k, v = np.split(cache["qkv"], 3, axis=1)
-    g_tok, gw_o, gb_o = linear_backward(g_out, cache["tok_out"], params.w_o)
     g_qkv = np.zeros_like(cache["qkv"])
     g_q, g_k, g_v = np.split(g_qkv, 3, axis=1)
     for blk in cache["blocks"]:
@@ -411,21 +438,37 @@ def topk_attention_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
             g_s = softmax_rows_backward(g_p, p) * cache["scale"]
             g_q[rows, hs] += g_s @ ks[:, hs]
             np.add.at(g_k[:, hs], idx, g_s.T @ q[rows, hs])
-    return g_qkv, (gw_o, gb_o)
+    return g_qkv
 
 
 # ---------------------------------------------------------------------------
 # gated fusion
 
 
+def _w_o_with_bias(w_o: LinearLayer) -> LinearLayer:
+    """``w_o`` with its bias moved into one more input column: a row
+    [x, s] maps to x·Wᵀ + s·b. The layer's own bias is zero and never added."""
+    weight = np.concatenate([w_o.weight, w_o.bias[:, None]], axis=1)
+    return LinearLayer(weight, np.zeros_like(w_o.bias), w_o.seed)
+
+
 def gated_fuse_fwd(f, grp_out, sel_out, params: ZFormerParams):
-    """Per-token sigmoid gates: out = g0 * group + g1 * selected."""
+    """Per-token sigmoid gates mix the head-space branch outputs, and ``w_o``
+    projects the mix once: out = w_o(g0·group + g1·selected) with bias
+    (g0 + g1)·b, which is g0·w_o(group) + g1·w_o(selected). The mix carries
+    g0 + g1 as a last column, so the bias is part of the one product."""
     z = linear(f, params.gate)
     if z.shape[1] != 2:
         raise InputError(f"gate layer must output 2 values, got {z.shape[1]}")
     g = sigmoid(z)
-    out = g[:, 0:1] * grp_out + g[:, 1:2] * sel_out
-    return out, {"f": f, "g": g, "grp": grp_out, "sel": sel_out}
+    hw = grp_out.shape[1]
+    mix = np.empty((len(f), hw + 1), np.result_type(grp_out, sel_out, g))
+    np.multiply(grp_out, g[:, 0:1], out=mix[:, :hw])
+    mix[:, :hw] += sel_out * g[:, 1:2]
+    np.add(g[:, 0], g[:, 1], out=mix[:, hw])
+    w_o = _w_o_with_bias(params.w_o)
+    out = mix @ w_o.weight.T
+    return out, {"f": f, "g": g, "grp": grp_out, "sel": sel_out, "mix": mix}
 
 
 def gated_fuse(f, grp_out, sel_out, params: ZFormerParams) -> np.ndarray:
@@ -433,18 +476,23 @@ def gated_fuse(f, grp_out, sel_out, params: ZFormerParams) -> np.ndarray:
 
 
 def gated_fuse_bwd(g_out: np.ndarray, cache: dict, params: ZFormerParams):
-    g = cache["g"]
-    g_grp = g_out * g[:, 0:1]
-    g_sel = g_out * g[:, 1:2]
+    """Gradients of the fused output w.r.t. ``f`` (through the gate), both
+    head-space branch outputs, and the gate and ``w_o`` layers."""
+    g, grp, sel = cache["g"], cache["grp"], cache["sel"]
+    hw = grp.shape[1]
+    g_mix, gw_o, _ = linear_backward(g_out, cache["mix"], _w_o_with_bias(params.w_o))
+    g_head, g_sum = g_mix[:, :hw], g_mix[:, hw]
+    # each gate scales its branch and adds one b to the bias column
     gz = np.stack(
         [
-            (g_out * cache["grp"]).sum(axis=1) * g[:, 0] * (1.0 - g[:, 0]),
-            (g_out * cache["sel"]).sum(axis=1) * g[:, 1] * (1.0 - g[:, 1]),
+            ((g_head * grp).sum(axis=1) + g_sum) * g[:, 0] * (1.0 - g[:, 0]),
+            ((g_head * sel).sum(axis=1) + g_sum) * g[:, 1] * (1.0 - g[:, 1]),
         ],
         axis=1,
     )
     gf, gw, gb = linear_backward(gz, cache["f"], params.gate)
-    return gf, g_grp, g_sel, {"gate": (gw, gb)}
+    grads = {"w_o": (gw_o[:, :hw], gw_o[:, hw]), "gate": (gw, gb)}
+    return gf, g_head * g[:, 0:1], g_head * g[:, 1:2], grads
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +532,7 @@ def zorder_pool_fwd(rep, codes: np.ndarray, levels: int, params: ZFormerParams,
         ijk = decode_array(new_codes, coarse.depth)
         positions = coarse.cell_centers(ijk)
     view_of = rep.view_of[starts]
-    pooled = type(rep)(positions, pooled_feat, colors, view_of)
+    pooled = type(rep).derived(positions, pooled_feat, colors, view_of)
     cache = {"starts": starts, "counts": counts, "mean_feat": mean_feat}
     return pooled, new_codes, cache
 
@@ -514,8 +562,8 @@ def zformer_block_fwd(rep, quantizer: Quantizer, params: ZFormerParams,
     rep_s, codes, perm = sort_by_code(rep, quantizer)
     f = rep_s.features
     qkv = linear(f, params.qkv())
-    grp_out, w_blocks, c_grp = group_attention_fwd(qkv, params, cfg)
-    sel_out, c_sel = topk_attention_fwd(qkv, w_blocks, params, cfg, selection)
+    grp_out, w_blocks, c_grp = group_attention_fwd(qkv, cfg)
+    sel_out, c_sel = topk_attention_fwd(qkv, w_blocks, cfg, selection)
     fused, c_fuse = gated_fuse_fwd(f, grp_out, sel_out, params)
     f_new = f + fused
     rep_mid = rep_s.with_features(f_new)
@@ -529,30 +577,36 @@ def zformer_block_fwd(rep, quantizer: Quantizer, params: ZFormerParams,
 
 def zformer_block(rep, quantizer, params, cfg):
     """Inference-only forward: no gradient caches, so the top-k branch can
-    take its chunked path and memory stays proportional to n·k·L, not n²."""
-    rep_s, codes, _ = sort_by_code(rep, quantizer)
-    f = rep_s.features
-    qkv = linear(f, params.qkv())
-    grp_out, w_blocks, _ = group_attention_fwd(qkv, params, cfg)
-    sel_out = _topk_attention(qkv, w_blocks, params, cfg)
-    fused = gated_fuse(f, grp_out, sel_out, params)
-    rep_mid = rep_s.with_features(f + fused)
-    return zorder_pool(rep_mid, codes, cfg.pool_levels, params, quantizer, cfg)
+    take its chunked path and memory stays proportional to n·k·L, not n².
+
+    Extreme weights can overflow the block's arithmetic. The residual and
+    the pooled features are checked for finiteness, so an overflow ends in
+    ``InputError``; numpy's overflow warnings are silenced meanwhile."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep_s, codes, _ = sort_by_code(rep, quantizer)
+        f = rep_s.features
+        qkv = linear(f, params.qkv())
+        grp_out, w_blocks, _ = group_attention_fwd(qkv, cfg)
+        sel_out = _topk_attention(qkv, w_blocks, cfg)
+        fused = gated_fuse(f, grp_out, sel_out, params)
+        rep_mid = rep_s.with_features(f + fused)
+        return zorder_pool(rep_mid, codes, cfg.pool_levels, params, quantizer, cfg)
 
 
 def zformer_block_bwd(g_features: np.ndarray, cache: dict, params: ZFormerParams):
     """Gradients of pooled output features w.r.t. every layer and the input
-    features (returned in the caller's pre-sort order). Both branches' Q/K/V
-    gradients are summed first, so the stacked projection takes one backward."""
+    features (returned in the caller's pre-sort order). ``w_o``'s gradient
+    comes from the fusion alone, where the forward projects through it; both
+    branches' Q/K/V gradients are summed first, so the stacked projection
+    takes one backward."""
     g_f_new, g_pool = zorder_pool_bwd(g_features, cache["pool"], params)
-    gf_fuse, g_grp, g_sel, g_gate = gated_fuse_bwd(g_f_new, cache["fuse"], params)
-    g_qkv_grp, (gw_grp, gb_grp) = group_attention_bwd(g_grp, cache["grp"], params)
-    g_qkv_sel, (gw_sel, gb_sel) = topk_attention_bwd(g_sel, cache["sel"], params)
-    gf_qkv, gw, gb = linear_backward(g_qkv_grp + g_qkv_sel, cache["f"], params.qkv())
+    gf_fuse, g_grp, g_sel, g_fuse = gated_fuse_bwd(g_f_new, cache["fuse"], params)
+    g_qkv = group_attention_bwd(g_grp, cache["grp"])
+    g_qkv += topk_attention_bwd(g_sel, cache["sel"])
+    gf_qkv, gw, gb = linear_backward(g_qkv, cache["f"], params.qkv())
     grads = {
         **dict(zip(("w_q", "w_k", "w_v"), zip(np.split(gw, 3), np.split(gb, 3)))),
-        "w_o": (gw_grp + gw_sel, gb_grp + gb_sel),
-        **g_gate,
+        **g_fuse,
         **g_pool,
     }
     g_sorted = g_f_new + gf_fuse + gf_qkv

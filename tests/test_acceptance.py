@@ -20,7 +20,7 @@ from zsplat import morton, reference, view_select, zformer
 from zsplat.cli import main as cli_main
 from zsplat.config import RunConfig
 from zsplat.morton import Quantizer, sort_by_code
-from zsplat.numerics import grad_check, splitmix64, uniform01
+from zsplat.numerics import grad_check, linear, splitmix64, uniform01
 from zsplat.pipeline import forward_scene, init_model
 from zsplat.scene import PointRepresentation, assemble
 from zsplat.synthetic import generate_scene
@@ -79,6 +79,7 @@ def test_criterion_2_attention_equivalence_ladder():
         dense = reference.dense_attention_reference(f, params, unit)
 
         grp, _ = zformer.group_attention(f, params, unit)
+        grp = linear(grp, params.w_o)
         err = np.abs(grp - dense).max()
         assert err < 1e-5, f"group(L=1) vs dense at n={n}: max abs {err:.3g}"
 
@@ -89,7 +90,7 @@ def test_criterion_2_attention_equivalence_ladder():
         full_params = zformer.ZFormerParams.init(full, seed=23)
         dense8 = reference.dense_attention_reference(f, full_params, full)
         _, w_blocks = zformer.group_attention(f, full_params, full)
-        sel = zformer.topk_attention(f, w_blocks, full_params, full)
+        sel = linear(zformer.topk_attention(f, w_blocks, full_params, full), full_params.w_o)
         err = np.abs(sel - dense8).max()
         assert err < 1e-5, f"topk(k=B) vs dense at n={n}: max abs {err:.3g}"
     elapsed = time.perf_counter() - start

@@ -203,6 +203,15 @@ def test_point_representation_take_and_validation():
         scene.PointRepresentation(
             rep.positions * np.nan, rep.features, rep.colors, rep.view_of
         )
+    # take and with_features check only what they bring in
+    for index in (np.int64(0), perm[:, None]):
+        with pytest.raises(InputError, match="1-D index"):
+            rep.take(index)
+    nan = rep.features.copy()
+    nan[3, 1] = np.nan
+    for bad in (nan, rep.features[:-1], rep.features[:, 0]):
+        with pytest.raises(InputError):
+            rep.with_features(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from gradutil import grads_to_vec, layer_to_vec, vec_to_layer
 from zsplat import reference, zformer
+from zsplat.config import RunConfig
 from zsplat.errors import ConfigError, InputError, RangeError
 from zsplat.morton import Quantizer, sort_by_code
 from zsplat.numerics import (
@@ -19,6 +20,7 @@ from zsplat.numerics import (
     segment_sum,
     uniform01,
 )
+from zsplat.pipeline import forward_scene, init_model
 from zsplat.scene import PointRepresentation
 
 
@@ -28,6 +30,15 @@ def _features(n, width, seed, dtype=np.float32):
 
 def _params(cfg, seed=11):
     return zformer.ZFormerParams.init(cfg, seed)
+
+
+def _with_biases(params, seed=13):
+    """``params`` with a nonzero bias on every layer."""
+    return dc_replace(params, **{
+        name: LinearLayer(layer.weight, _features(1, layer.out_width, seed + i,
+                                                  layer.bias.dtype)[0], layer.seed)
+        for i, (name, layer) in enumerate(params.layers().items())
+    })
 
 
 def _rep(n, width, seed, span=4.0):
@@ -72,6 +83,7 @@ def test_group_attention_with_unit_blocks_equals_dense(n):
     params = _params(cfg)
     f = _features(n, 12, seed=21)
     out, w_blocks = zformer.group_attention(f, params, cfg)
+    out = linear(out, params.w_o)
     dense = reference.dense_attention_reference(f, params, cfg)
     assert w_blocks.shape == (n, n)
     assert np.abs(out - dense).max() < 1e-5
@@ -86,7 +98,7 @@ def test_topk_with_all_blocks_selected_equals_dense(n, block_len):
     params = _params(cfg)
     f = _features(n, 12, seed=31)
     _, w_blocks = zformer.group_attention(f, params, cfg)
-    out = zformer.topk_attention(f, w_blocks, params, cfg)
+    out = linear(zformer.topk_attention(f, w_blocks, params, cfg), params.w_o)
     dense = reference.dense_attention_reference(f, params, cfg)
     assert np.abs(out - dense).max() < 1e-5
 
@@ -106,23 +118,30 @@ def test_topk_partial_selection_matches_gather_reference():
     f = _features(97, 12, seed=51)  # ragged: 7 blocks, last of length 1
     _, w_blocks = zformer.group_attention(f, params, cfg)
     selection = zformer.select_blocks(w_blocks, 3)
-    got = zformer.topk_attention(f, w_blocks, params, cfg)
+    got = linear(zformer.topk_attention(f, w_blocks, params, cfg), params.w_o)
     want = reference.topk_gather_reference(f, params, cfg, selection)
     assert np.abs(got - want).max() < 1e-5
 
 
-def _assert_chunked_matches_loop(dtype, tol, n, n_heads):
+def _assert_chunked_matches_loop(dtype, tol, n, n_heads, last_every=2, max_score=None):
     cfg = zformer.AttentionConfig(
         block_len=32, select_k=4, model_width=16, head_width=8, n_heads=n_heads
     )
     params = _params(cfg).astype(dtype)
     f = _features(n, 16, seed=61, dtype=dtype)
     q, k, v = np.split(linear(f, params.qkv()), 3, axis=1)
+    if max_score is not None:
+        # scale the queries so the largest scaled score is max_score: each
+        # softmax row is then dominated by its top key
+        slices, scale = zformer._head_slices(cfg)
+        top = max(np.abs(q[:, hs] @ k[:, hs].T).max() for hs in slices) * scale
+        q = q * dtype(max_score / top)
     _, w_blocks = zformer.group_attention(f, params, cfg)
-    # every even query block also attends to the last block, ragged or not
-    w_blocks[::2, -1] += 1.0
+    # every last_every-th query block also attends to the last block, ragged
+    # or not
+    w_blocks[::last_every, -1] += 1.0
     selection = zformer.select_blocks(w_blocks, 4)
-    assert (selection[::2] == selection.shape[0] - 1).any(axis=1).all()
+    assert (selection[::last_every] == selection.shape[0] - 1).any(axis=1).all()
     counts = zformer._block_counts(n, 32)
     chunked = zformer._topk_chunked(q, k, v, selection, cfg)
     loop, _ = zformer._topk_loop_fwd(q, k, v, selection, counts, cfg)
@@ -149,6 +168,22 @@ def test_topk_chunked_matches_loop_across_chunks(monkeypatch, dtype, tol, n, n_h
     per_block = 4 * 32 * np.dtype(dtype).itemsize * (2 * 8 + 32)
     monkeypatch.setattr(zformer, "_CHUNK_BYTES", chunk_blocks * per_block)
     _assert_chunked_matches_loop(dtype, tol, n, n_heads)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
+def test_topk_chunked_matches_loop_with_one_dominant_key(dtype, tol, n_heads):
+    # scaled scores reach +-80, so exp of the shifted scores spans the whole
+    # float32 range before the deferred division by the row sums
+    _assert_chunked_matches_loop(dtype, tol, 250, n_heads, max_score=80.0)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("n", [250, 225])  # 225 leaves a one-row final block
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
+def test_topk_chunked_matches_loop_when_every_block_selects_the_padded_one(
+        dtype, tol, n, n_heads):
+    _assert_chunked_matches_loop(dtype, tol, n, n_heads, last_every=1)
 
 
 def test_topk_chunked_working_set_is_cache_sized():
@@ -213,6 +248,19 @@ def _select_blocks_oracle(w, k):
     return np.sort(np.argsort(-ranked, axis=1, kind="stable")[:, :k], axis=1)
 
 
+def _mix_rows(tied, spread, rows):
+    """``tied``'s rows where ``rows`` holds, ``spread``'s elsewhere."""
+    return np.where(rows[:, None], tied, spread)
+
+
+def _surplus_rows(w, k):
+    """Rows with more entries tied at their k-th largest value than slots left."""
+    ranked = np.array(w, dtype=np.float64)
+    np.fill_diagonal(ranked, np.inf)
+    kth = np.sort(ranked, axis=1)[:, -k, None]
+    return np.flatnonzero((ranked >= kth).sum(axis=1) > k)
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_select_blocks_matches_stable_sort_oracle(data):
@@ -222,12 +270,27 @@ def test_select_blocks_matches_stable_sort_oracle(data):
     dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
     shape = (n_blocks, n_blocks)
     # a handful of values (NaN among them) gives rows with many ties
-    tied = st.sampled_from([0.0, 0.125, 0.5, 1.0, float("nan")])
-    w = data.draw(arrays(dtype, shape, elements=tied)
-                  | arrays(dtype, shape, elements=st.floats(0.0, 1.0, width=32)), label="w")
+    tied = arrays(dtype, shape, elements=st.sampled_from([0.0, 0.125, 0.5, 1.0, float("nan")]))
+    spread = arrays(dtype, shape, elements=st.floats(0.0, 1.0, width=32))
+    w = data.draw(tied | spread | st.builds(_mix_rows, tied, spread,
+                                            arrays(np.bool_, n_blocks)), label="w")
     got = zformer.select_blocks(w, k)
     assert np.issubdtype(got.dtype, np.integer)
     assert np.array_equal(got, _select_blocks_oracle(w, k))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tied_rows", [slice(None, None, 3), slice(None)])
+def test_select_blocks_ranks_again_only_rows_with_surplus_ties(tied_rows, dtype):
+    # distinct affinities everywhere except the tied rows: 0.25 but for three
+    # 0.75 entries, so the k-th value is 0.25 with more copies than slots left
+    n_blocks, k = 12, 6
+    w = uniform01(95, n_blocks * n_blocks).reshape(n_blocks, n_blocks).astype(dtype)
+    w[tied_rows] = 0.25
+    w[tied_rows, 1::4] = 0.75
+    surplus = _surplus_rows(w, k)
+    assert np.array_equal(surplus, np.arange(n_blocks)[tied_rows])
+    assert np.array_equal(zformer.select_blocks(w, k), _select_blocks_oracle(w, k))
 
 
 def test_select_blocks_rejects_bad_k():
@@ -259,7 +322,7 @@ def test_pinned_selection_is_validated():
         with pytest.raises(error):
             zformer.topk_attention(f, w_blocks, params, cfg, selection=bad)
         with pytest.raises(error):
-            zformer.topk_attention_fwd(qkv, w_blocks, params, cfg, selection=bad)
+            zformer.topk_attention_fwd(qkv, w_blocks, cfg, selection=bad)
 
 
 def test_resolve_k_half_rule():
@@ -283,19 +346,23 @@ def test_attention_config_validation():
 
 
 def test_gated_fuse_zero_gate_averages_branches():
+    # the branches arrive in head space and gated_fuse projects them through
+    # w_o, bias included
     cfg = zformer.AttentionConfig(model_width=6, head_width=4)
     params = _params(cfg)
+    w_o = LinearLayer(params.w_o.weight, _features(1, 6, seed=84)[0], 0)
     zero_gate = dc_replace(
         params,
         gate=LinearLayer(
             np.zeros_like(params.gate.weight), np.zeros_like(params.gate.bias), 0
         ),
+        w_o=w_o,
     )
     f = _features(9, 6, seed=81)
-    grp = _features(9, 6, seed=82)
-    sel = _features(9, 6, seed=83)
+    grp = _features(9, 4, seed=82)
+    sel = _features(9, 4, seed=83)
     out = zformer.gated_fuse(f, grp, sel, zero_gate)
-    assert np.allclose(out, 0.5 * (grp + sel), atol=1e-7)
+    assert np.allclose(out, 0.5 * (linear(grp, w_o) + linear(sel, w_o)), atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +475,34 @@ def test_zformer_block_shrinks_and_returns_valid_codes():
     assert pooled.features.dtype == np.float32
 
 
+@pytest.mark.parametrize("position_mode", ["cell_center", "member_mean"])
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("n", [256, 250])  # 250 leaves a short final block
+def test_zformer_block_equals_public_wrapper_composition(n, n_heads, position_mode):
+    # the benchmark's traced run calls the public wrappers one at a time and
+    # requires forward_scene's levels bit for bit
+    cfg = zformer.AttentionConfig(block_len=32, select_k=3, model_width=12, head_width=8,
+                                  n_heads=n_heads, pool_levels=1,
+                                  position_mode=position_mode)
+    params = _with_biases(_params(cfg))
+    rep = _rep(n, 12, seed=171, span=16.0)
+    quant = Quantizer(np.zeros(3), 1.0, 5)
+    pooled, codes = zformer.zformer_block(rep, quant, params, cfg)
+
+    rep_s, codes_s, _ = sort_by_code(rep, quant)
+    f = rep_s.features
+    grp, w_blocks = zformer.group_attention(f, params, cfg)
+    selection = zformer.select_blocks(w_blocks, cfg.resolve_k(w_blocks.shape[0]))
+    sel = zformer.topk_attention(f, w_blocks, params, cfg, selection=selection)
+    fused = zformer.gated_fuse(f, grp, sel, params)
+    want, want_codes = zformer.zorder_pool(rep_s.with_features(f + fused), codes_s,
+                                           cfg.pool_levels, params, quant, cfg)
+    assert np.array_equal(codes, want_codes)
+    for name in ("positions", "features", "colors", "view_of"):
+        got, ref = getattr(pooled, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+
 def test_zformer_block_is_deterministic():
     cfg = zformer.AttentionConfig(block_len=8, model_width=6, head_width=4)
     params = _params(cfg)
@@ -483,10 +578,10 @@ def test_gradients_sum_contributions_from_both_branches():
     cfg, params, rep, quant, selection = _grad_setup()
     pooled, _, cache = zformer.zformer_block_fwd(rep, quant, params, cfg, selection)
     _, grads_full = zformer.zformer_block_bwd(pooled.features, cache, params)
-    upstream = np.ones_like(rep.features)
-    g_qkv_grp, _ = zformer.group_attention_bwd(upstream, cache["grp"], params)
-    g_qkv_sel, _ = zformer.topk_attention_bwd(upstream, cache["sel"], params)
     hw = cfg.head_width
+    upstream = np.ones((len(rep), hw))
+    g_qkv_grp = zformer.group_attention_bwd(upstream, cache["grp"])
+    g_qkv_sel = zformer.topk_attention_bwd(upstream, cache["sel"])
     gw_q_grp = g_qkv_grp[:, :hw].T @ cache["f"]
     gw_q_sel = g_qkv_sel[:, :hw].T @ cache["f"]
     assert np.abs(gw_q_grp).max() > 0 and np.abs(gw_q_sel).max() > 0
@@ -509,3 +604,61 @@ def test_block_backward_projects_qkv_once(monkeypatch):
     monkeypatch.setattr(zformer, "linear_backward", counted)
     zformer.zformer_block_bwd(pooled.features, cache, params)
     assert sum(calls) == 1, f"{sum(calls)} backward passes through the stacked Q/K/V"
+
+
+def test_block_projects_through_w_o_once(monkeypatch):
+    # the branches stay in head space: the forward's one n-row product
+    # through w_o is the fusion's, and so is the backward's one
+    # linear_backward through w_o
+    cfg, params, rep, quant, selection = _grad_setup()
+    products = []
+
+    class Counted(np.ndarray):
+        """Records the rows of every matrix product it enters, also after
+        numpy functions such as np.concatenate have built on it."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(inputs[0].shape[0])
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            out = super().__array_function__(func, types, args, kwargs)
+            return out.view(Counted) if isinstance(out, np.ndarray) else out
+
+    w_o = params.w_o
+    counted = dc_replace(params, w_o=LinearLayer(w_o.weight.view(Counted),
+                                                 w_o.bias.view(Counted), w_o.seed))
+    zformer.zformer_block(rep, quant, counted, cfg)
+    assert products == [len(rep)]
+    products.clear()
+    zformer.zformer_block_fwd(rep, quant, counted, cfg, selection)
+    assert products == [len(rep)]
+
+    hw = cfg.head_width
+    calls = []
+
+    def tracked(grad, x, layer):
+        calls.append(np.array_equal(layer.weight[:, :hw], w_o.weight))
+        return linear_backward(grad, x, layer)
+
+    pooled, _, cache = zformer.zformer_block_fwd(rep, quant, params, cfg, selection)
+    monkeypatch.setattr(zformer, "linear_backward", tracked)
+    zformer.zformer_block_bwd(pooled.features, cache, params)
+    assert sum(calls) == 1, f"{sum(calls)} backward passes through w_o"
+
+
+def test_overflowing_pool_projection_ends_in_input_error():
+    # pooling checks the features it computes, so the overflow ends in
+    # InputError, and numpy's overflow warning (an error under this suite's
+    # warning filter) stays silent
+    cfg = RunConfig(seed=3, cell=0.5)
+    model = init_model(cfg)
+    pool = model.blocks[0].pool_proj
+    huge = LinearLayer(np.full_like(pool.weight, 1e38), pool.bias, pool.seed)
+    model = dc_replace(model, blocks=(dc_replace(model.blocks[0], pool_proj=huge),
+                                      *model.blocks[1:]))
+    rep = _rep(300, cfg.attention_config().model_width, seed=181)
+    rep = rep.with_features(np.abs(rep.features) + 1.0)
+    with pytest.raises(InputError, match="non-finite"):
+        forward_scene(rep, cfg, model)
