@@ -139,8 +139,11 @@ class Quantizer:
             raise InputError(f"expected 3-vectors, got shape {points.shape}")
         if not np.isfinite(pts).all():
             raise InputError("cannot quantize non-finite points")
-        idx = np.floor((pts - self.origin) / self.cell).astype(np.int64)
+        # clamp in float64: a cell index past int64 range would cast to INT64_MIN
+        with np.errstate(over="ignore"):
+            idx = np.floor((pts - self.origin) / self.cell)
         np.clip(idx, 0, (1 << self.depth) - 1, out=idx)
+        idx = idx.astype(np.int64)
         return idx[0] if squeeze else idx
 
     def encode_points(self, points: np.ndarray) -> np.ndarray:

@@ -147,7 +147,12 @@ def _read_layer(path, entry, name: str) -> LinearLayer:
         raise CheckpointError(
             f"{name}: weight {weight.shape} and bias {bias.shape} do not align"
         )
-    return LinearLayer(weight.astype(np.float32), bias.astype(np.float32), entry.get("seed", 0))
+    with np.errstate(over="ignore"):  # a value past float32 range casts to inf
+        weight, bias = weight.astype(np.float32), bias.astype(np.float32)
+    for part, values in (("weight", weight), ("bias", bias)):
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{name}: {part} holds a value that is not a finite float32")
+    return LinearLayer(weight, bias, entry.get("seed", 0))
 
 
 def load_checkpoint(path, cfg: RunConfig) -> ModelParams:

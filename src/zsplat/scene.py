@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 import os
 import sys
 from dataclasses import dataclass
@@ -361,8 +360,9 @@ def assemble(views) -> PointRepresentation:
     """Concatenate per-view unprojections into one representation.
 
     ``views`` is a sequence of (depth (H, W), Camera, colors (H, W, 3),
-    features (H, W, C) or (H*W, C)) tuples. Feature width must agree across
-    views; view_of records each point's position in the input sequence.
+    features (H, W, C) or (H*W, C), or the path of their tensor container,
+    read here) tuples. Feature width must agree across views; view_of
+    records each point's position in the input sequence.
     """
     if len(views) == 0:
         raise InputError("assemble needs at least one view")
@@ -375,6 +375,8 @@ def assemble(views) -> PointRepresentation:
         if m == 0:
             raise InputError(f"view {i}: depth map {depth.shape} has no pixels")
         colors = np.asarray(colors, dtype=np.float64)
+        if isinstance(features, str):
+            features = named(features, read_tensor, features)
         features = np.asarray(features, dtype=np.float32)
         if colors.size != 3 * m or features.ndim < 2 or math.prod(features.shape[:-1]) != m:
             raise InputError(
@@ -521,22 +523,6 @@ def read_tensor(path) -> np.ndarray:
     return array
 
 
-def map_tensor(path) -> np.ndarray:
-    """Map a tensor container's payload copy-on-write, with the checks of
-    :func:`read_tensor`.
-
-    Pages are read when first touched, and writes to the array never reach
-    the file. The mapping holds one open descriptor until the array and
-    every view of it are gone; truncating the file in place meanwhile makes
-    a later access fault (SIGBUS), while replacing it with ``os.replace``
-    is safe.
-    """
-    with open(path, "rb") as fh:
-        dtype, shape, start = _read_header(fh)
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-    return np.frombuffer(mapped, dtype, math.prod(shape), start).reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # scene directories (view_<i>/{depth.tns, camera.json, color.tns, feature.tns})
 
@@ -553,14 +539,21 @@ def write_scene_dir(path, views) -> None:
         write_tensor(os.path.join(vdir, "feature.tns"), np.asarray(features, np.float32))
 
 
+def _checked_tensor_path(path) -> str:
+    """``path`` once its tensor header agrees with the file's size."""
+    with open(path, "rb") as fh:
+        _read_header(fh)
+    return path
+
+
 _VIEW_FILES = (("depth.tns", read_tensor), ("camera.json", read_camera),
-               ("color.tns", read_tensor), ("feature.tns", map_tensor))
+               ("color.tns", read_tensor), ("feature.tns", _checked_tensor_path))
 
 
 def load_view_dir(vdir):
-    """Read depth, camera and colors; map the features, which are most of a
-    view's bytes and which a request reads only for the views it selects.
-    An error's message gains the path of its file."""
+    """Read depth, camera and colors; check the features' header and return
+    their file's path, since they are most of a view's bytes and a request
+    reads them only for the views it assembles. An error names its file."""
     view = []
     for name, read in _VIEW_FILES:
         path = os.path.join(vdir, name)
@@ -570,8 +563,9 @@ def load_view_dir(vdir):
 
 def load_scene_dir(path, max_workers: int = 1):
     """Load the ``view_0`` ... ``view_{n-1}`` subdirectories in index order, on
-    the calling thread. A view's index is its position in the returned list,
-    so any other ``view_`` name (a gap, a leading zero) is rejected.
+    the calling thread, as :func:`load_view_dir` tuples; no file stays open.
+    A view's index is its position in the returned list, so any other
+    ``view_`` name (a gap, a leading zero) is rejected.
 
     ``max_workers`` is accepted and ignored, for callers that still pass it.
     """

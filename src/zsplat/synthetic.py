@@ -21,13 +21,13 @@ _FIELDS = {
     "n_views": (2, integer(1)),
     "feature_width": (96, integer(1)),
     "seed": (0, integer()),
-    "focal": (None, optional(number())),  # defaults to image width
-    "distance": (4.0, number()),
+    "focal": (None, optional(number(0))),  # defaults to image width
+    "distance": (4.0, number(0)),
     "spread": (0.25, number()),
     "plane_z": (0.0, number()),
     "sphere_center": ([0.0, 0.0, 0.0], list_of(number(), 3)),
     "sphere_radius": (1.0, number()),
-    "background": (None, optional(number())),  # defaults to 2 * distance
+    "background": (None, optional(number(0))),  # defaults to 2 * distance
 }
 _DEFAULTS = {key: default for key, (default, _) in _FIELDS.items()}
 _RULES = {key: rule for key, (_, rule) in _FIELDS.items()}

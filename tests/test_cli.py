@@ -201,6 +201,27 @@ def test_malformed_manifest_exits_4(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value, dtype", [
+    (np.nan, np.float32), (np.inf, np.float32), (1e300, np.float64),
+], ids=["nan", "inf", "f64-past-f32"])
+@pytest.mark.parametrize("part", ["weight", "bias"])
+def test_checkpoint_value_that_is_not_a_finite_float32_exits_4(tmp_path, capsys, part,
+                                                               value, dtype):
+    scene = _gen(tmp_path)
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    path = ckpt / f"block0__w_k.{part}.tns"
+    values = read_tensor(path).astype(dtype)
+    values.flat[0] = value
+    write_tensor(path, values)
+    capsys.readouterr()
+    assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 4
+    assert capsys.readouterr().err == (f"error: block0/w_k: {part} holds a value that "
+                                       f"is not a finite float32\n")
+
+
 # one payload per way decoding a JSON object can fail
 HOSTILE_JSON = {
     "too-deep": b"[" * 30000,  # past the recursion limit, inside a tensor header line
@@ -324,6 +345,29 @@ def test_scene_loads_start_no_thread(tmp_path, monkeypatch):
                  "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 0
     assert main(["select-views", "--scene", str(scene), "--max-views", "2"]) == 0
     assert started == []
+
+
+# runs the CLI after lowering the process's open-file limit to 40
+_CLI_UNDER_40_FILES = (
+    "import resource, sys; hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]; "
+    "resource.setrlimit(resource.RLIMIT_NOFILE, (min(40, hard), hard)); "
+    "from zsplat.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_a_scene_with_more_views_than_open_files_loads(tmp_path):
+    # a loaded view holds no open file, so 60 views need no 60 descriptors
+    scene = _gen(tmp_path, res="4x4", views=60)
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for args in (["select-views", "--scene", str(scene), "--max-views", "4"],
+                 ["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                  "--out-dir", str(tmp_path / "o"), "--config", cfg]):
+        proc = subprocess.run([sys.executable, "-c", _CLI_UNDER_40_FILES, *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_scene_dir_exits_2(tmp_path):
@@ -504,9 +548,15 @@ def test_malformed_scene_config_exits_2(tmp_path):
     (b'{"seed": true}', "seed"),
     (b'[1, 2]', "JSON object"),
     (b'{"kind": "\xff"}', "utf-8"),
+    # values whose scenes the loader would reject, or would fail without naming the field
+    (b'{"kind": "plane", "distance": -4}', "distance must be > 0"),
+    (b'{"kind": "sphere", "distance": 0}', "distance must be > 0"),
+    (b'{"background": -1}', "background must be > 0"),
+    (b'{"focal": -5}', "focal must be > 0"),
 ], ids=["n_views-str", "resolution-one", "resolution-zero", "sphere_radius-str",
         "feature_width-str", "feature_width-0", "sphere_center-nan", "focal-str",
-        "background-list", "seed-bool", "not-an-object", "not-utf8"])
+        "background-list", "seed-bool", "not-an-object", "not-utf8", "plane-distance-neg",
+        "sphere-distance-0", "background-neg", "focal-neg"])
 def test_scene_config_value_of_wrong_type_exits_2(tmp_path, capsys, payload, named):
     path = tmp_path / "scene.json"
     path.write_bytes(payload)

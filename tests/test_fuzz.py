@@ -114,15 +114,13 @@ def test_json_decoder_raises_only_the_callers_error(data):
 
 @FUZZ
 @given(blob=_tensor_inputs())
-@pytest.mark.parametrize("reader", [scene.read_tensor, scene.map_tensor])
-def test_tensor_readers_raise_only_format_errors(reader, blob):
+def test_tensor_reader_raises_only_format_errors(blob):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.tns")
         with open(path, "wb") as fh:
             fh.write(blob)
-        array = _only_zsplat_errors(reader, path)
+        array = _only_zsplat_errors(scene.read_tensor, path)
         assert array is None or isinstance(array, np.ndarray)
-        del array  # a mapping holds the file open
 
 
 def _ply_blob() -> bytes:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,8 +96,13 @@ def test_encode_rejects_out_of_range_inputs():
 def test_quantizer_frozen_example():
     q = morton.Quantizer(np.zeros(3), 0.5, 4)
     assert tuple(q.quantize(np.array([1.26, 0.74, 0.01]))) == (2, 1, 0)
-    # clamped at the grid edges
-    assert tuple(q.quantize(np.array([-3.0, 9.9, 7.9]))) == (0, 15, 15)
+    # clamped at the grid edges, also from past int64 and float64 range, without warning
+    tiny = morton.Quantizer(np.zeros(3), 5e-324, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tuple(q.quantize(np.array([-3.0, 9.9, 7.9]))) == (0, 15, 15)
+        assert q.quantize([[1e30, -1e30, 5.0]]).tolist() == [[15, 0, 10]]
+        assert tiny.quantize([[1.0, -1.0, 2.5e-323]]).tolist() == [[65535, 0, 5]]
 
 
 def test_quantizer_fit_covers_all_points():

@@ -1,4 +1,3 @@
-import gc
 import json
 import os
 import warnings
@@ -297,7 +296,7 @@ def test_tensor_container_rejects_shape_whose_int64_product_wraps(tmp_path):
 
 
 # every malformed case of test_tensor_container_format_errors_carry_offsets,
-# plus a few more, with the message and byte offset both readers must report
+# plus a few more, with the message and byte offset the reader must report
 _MALFORMED_TENSORS = [
     (b"no newline here", "missing header newline", 15),
     (b"x" * 70000, "missing header newline", 65536),
@@ -319,14 +318,13 @@ _MALFORMED_TENSORS = [
 ]
 
 
-@pytest.mark.parametrize("reader", [scene.read_tensor, scene.map_tensor])
 @pytest.mark.parametrize("blob,message,offset", _MALFORMED_TENSORS)
-def test_both_tensor_readers_report_the_same_format_errors(tmp_path, reader, blob,
-                                                           message, offset):
+def test_tensor_reader_reports_format_errors_with_their_offsets(tmp_path, blob,
+                                                                message, offset):
     path = tmp_path / "bad.tns"
     path.write_bytes(blob)
     with pytest.raises(FormatError) as err:
-        reader(path)
+        scene.read_tensor(path)
     assert type(err.value) is FormatError
     assert str(err.value) == f"{message} (byte offset {offset})"
     assert err.value.offset == offset
@@ -343,25 +341,12 @@ def test_read_tensor_returns_an_aligned_array_owning_its_data(tmp_path):
     assert back.tobytes() == arr.tobytes()
 
 
-@pytest.mark.parametrize("reader", [scene.read_tensor, scene.map_tensor])
 @pytest.mark.parametrize("shape", [(0,), (0, 96), (4, 0, 3)])
-def test_zero_size_payloads_in_both_readers(tmp_path, reader, shape):
+def test_zero_size_payloads_read_back(tmp_path, shape):
     path = tmp_path / "empty.tns"
     scene.write_tensor(path, np.zeros(shape, dtype=np.float32))
-    back = reader(path)
+    back = scene.read_tensor(path)
     assert back.shape == shape and back.dtype == np.float32
-
-
-def test_writing_into_a_mapped_array_leaves_the_file_unchanged(tmp_path):
-    path = tmp_path / "f.tns"
-    scene.write_tensor(path, uniform01(4, 40).reshape(8, 5).astype(np.float32))
-    before = path.read_bytes()
-    mapped = scene.map_tensor(path)
-    assert mapped.flags.writeable
-    mapped[:] = -1.0
-    assert np.all(mapped == -1.0)
-    assert path.read_bytes() == before
-    assert np.array_equal(scene.map_tensor(path), scene.read_tensor(path))
 
 
 def test_camera_record_intrinsics_are_stored_as_floats():
@@ -379,18 +364,36 @@ def test_scene_config_returns_its_own_containers():
     assert synthetic.scene_config()["sphere_center"] == [0.0, 0.0, 0.0]
 
 
-def test_loaded_features_survive_a_file_replaced_after_loading(tmp_path):
+def test_features_replaced_after_loading_are_read_when_assembled(tmp_path):
     views = synthetic.generate_scene({"resolution": [8, 8], "n_views": 2, "feature_width": 5})
     scene.write_scene_dir(tmp_path / "scene", views)
     loaded = scene.load_scene_dir(tmp_path / "scene")
-    before = [np.array(v[3]) for v in loaded]
-    for i in range(2):
-        fresh = tmp_path / f"fresh_{i}.tns"
-        scene.write_tensor(fresh, np.full((64, 5), 7.0, dtype=np.float32))
-        os.replace(fresh, tmp_path / "scene" / f"view_{i}" / "feature.tns")
-    for (_, _, _, features), want in zip(loaded, before):
-        assert np.array_equal(features, want)
-    assert np.all(scene.load_scene_dir(tmp_path / "scene")[0][3] == 7.0)
+    fresh = tmp_path / "fresh.tns"
+    scene.write_tensor(fresh, np.full((64, 5), 7.0, dtype=np.float32))
+    os.replace(fresh, tmp_path / "scene" / "view_1" / "feature.tns")
+    rep = scene.assemble(loaded)
+    assert np.array_equal(rep.features[:64], views[0][3])
+    assert np.all(rep.features[64:] == 7.0)
+    # the replacement is checked again: a header unlike the depth map is rejected
+    scene.write_tensor(fresh, np.zeros((63, 5), dtype=np.float32))
+    os.replace(fresh, tmp_path / "scene" / "view_1" / "feature.tns")
+    with pytest.raises(InputError, match="view 1"):
+        scene.assemble(loaded)
+
+
+def test_features_truncated_after_loading_raise_a_format_error_naming_the_file(tmp_path):
+    views = synthetic.generate_scene({"resolution": [8, 8], "n_views": 2, "feature_width": 5})
+    scene.write_scene_dir(tmp_path / "scene", views)
+    loaded = scene.load_scene_dir(tmp_path / "scene")
+    path = tmp_path / "scene" / "view_1" / "feature.tns"
+    header = path.read_bytes().index(b"\n") + 1
+    with open(path, "r+b") as fh:  # truncated in place, not replaced
+        fh.truncate(header + 63)
+    with pytest.raises(FormatError) as err:
+        scene.assemble(loaded)
+    assert str(err.value) == (f"{path}: payload holds 63 bytes, header implies 1280 "
+                              f"(byte offset {header + 63})")
+    assert err.value.offset == header + 63
 
 
 # ---------------------------------------------------------------------------
@@ -561,32 +564,13 @@ def test_scene_dir_roundtrip(tmp_path):
         assert np.array_equal(c1.cam_to_world, c0.cam_to_world)
         assert np.allclose(d1, d0, atol=1e-6)  # stored as float32
         assert np.allclose(col1, col0, atol=1e-6)
-        assert np.array_equal(f1, f0)
+        assert np.array_equal(scene.read_tensor(f1), f0)
 
 
 def test_load_scene_dir_requires_views(tmp_path):
     os.makedirs(tmp_path / "empty")
     with pytest.raises(InputError):
         scene.load_scene_dir(tmp_path / "empty")
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-def test_loaded_views_hold_at_most_one_descriptor_each(tmp_path):
-    n_views = 6
-    views = synthetic.generate_scene({"resolution": [8, 8], "n_views": n_views})
-    scene.write_scene_dir(tmp_path / "scene", views)
-
-    def open_fds():
-        return len(os.listdir("/proc/self/fd"))
-
-    gc.collect()  # close what earlier tests left unreferenced before counting
-    base = open_fds()
-    loaded = scene.load_scene_dir(tmp_path / "scene")
-    assert len(loaded) == n_views
-    assert open_fds() - base <= n_views
-    del loaded
-    gc.collect()
-    assert open_fds() == base
 
 
 @pytest.mark.parametrize("old, new", [
