@@ -330,6 +330,27 @@ def test_tensor_reader_reports_format_errors_with_their_offsets(tmp_path, blob,
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize("stage", ["load", "assemble"])
+@pytest.mark.parametrize("blob,message,offset", _MALFORMED_TENSORS)
+def test_feature_file_errors_name_the_file_at_load_and_at_assemble(tmp_path, stage, blob,
+                                                                   message, offset):
+    # load checks the header, assemble reads the payload: both report the
+    # reader's message and offset, prefixed with the file's path
+    views = synthetic.generate_scene({"resolution": [8, 8], "n_views": 2, "feature_width": 5})
+    scene.write_scene_dir(tmp_path / "scene", views)
+    path = tmp_path / "scene" / "view_1" / "feature.tns"
+    loaded = scene.load_scene_dir(tmp_path / "scene") if stage == "assemble" else None
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        if loaded is None:
+            scene.load_scene_dir(tmp_path / "scene")
+        else:
+            scene.assemble(loaded)
+    assert type(err.value) is FormatError
+    assert str(err.value) == f"{path}: {message} (byte offset {offset})"
+    assert err.value.offset == offset
+
+
 def test_read_tensor_returns_an_aligned_array_owning_its_data(tmp_path):
     # the 34-byte header puts the float64 payload off an 8-byte boundary
     arr = uniform01(3, 12).reshape(3, 4)
