@@ -87,15 +87,23 @@ def cmd_gen_scene(args) -> int:
     return 0
 
 
+def _view_points(views) -> list:
+    """Each loaded view's world points; an error names its view."""
+    return [named(f"view {i}", unproject, depth, camera)
+            for i, (depth, camera, _, _) in enumerate(views)]
+
+
 def cmd_serialize(args) -> int:
     cfg = _load_config(args)
     if args.depth is not None:
         check_fields({"--depth": args.depth}, {"--depth": integer(1, MAX_DEPTH)}, RangeError)
         cfg = replace(cfg, serialize_depth=args.depth)
-    views = load_scene_dir(args.scene)
-    rep = assemble(views)
-    quant = make_quantizer(rep.positions, cfg)
-    codes = np.sort(quant.encode_points(rep.positions))
+    # positions only: the views' colours and features are never read
+    positions = np.concatenate(_view_points(load_scene_dir(args.scene)))
+    if not len(positions):
+        raise InputError(f"no view under {args.scene} has a pixel")
+    quant = make_quantizer(positions, cfg)
+    codes = np.sort(quant.encode_points(positions))
     # codes can exceed exact float64 integers, so store 32-bit halves
     half = np.uint64(0xFFFFFFFF)
     pairs = np.stack(
@@ -137,9 +145,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_select_views(args) -> int:
-    views = load_scene_dir(args.scene)
-    point_sets = [named(f"view {i}", unproject, depth, camera)
-                  for i, (depth, camera, _, _) in enumerate(views)]
+    point_sets = _view_points(load_scene_dir(args.scene))
     quant = Quantizer.fit(np.concatenate(point_sets), args.depth)
     candidates = build_candidates(point_sets, quant)
     result = select(candidates, args.max_views, args.min_gain)

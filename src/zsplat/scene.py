@@ -268,9 +268,11 @@ class PointRepresentation:
     in [0, 1], view_of (M,) int32 source-view index; each array C-contiguous
     and the floating ones finite.
 
-    The constructor checks all four arrays. ``take``, ``with_features`` and
-    ``derived`` build on arrays of a representation that is already checked,
-    so they check only what they compute anew: each array is checked once.
+    The constructor checks all four arrays, and every point set computed
+    anew, pooled points included, goes through it. ``take`` and
+    ``with_features`` build on rows of a representation that is already
+    checked: ``take`` checks nothing again, ``with_features`` only the new
+    features.
     """
 
     positions: np.ndarray
@@ -306,15 +308,6 @@ class PointRepresentation:
         rep = cls.__new__(cls)
         rep._set(positions, features, colors, view_of)
         return rep
-
-    @classmethod
-    def derived(cls, positions, features, colors, view_of) -> "PointRepresentation":
-        """Points computed from a checked representation. ``features`` is
-        checked, and ``positions`` for finiteness, since arithmetic on finite
-        values can overflow; the arrays must otherwise be in checked form."""
-        _check_finite("positions", positions)
-        return cls._unchecked(positions, _checked_features(features, len(positions)),
-                              colors, view_of)
 
     def __len__(self) -> int:
         return self.positions.shape[0]

@@ -57,13 +57,10 @@ class SelectionResult:
             )
 
 
-def build_candidates(point_sets, quantizer: Quantizer, indices=None):
+def build_candidates(point_sets, quantizer: Quantizer):
     """Candidates from world-point arrays: coverage is the set of occupied
-    cells of ``quantizer``. ``indices`` defaults to 0..len-1."""
-    if indices is None:
-        indices = range(len(point_sets))
-    if len(indices) != len(point_sets):
-        raise InputError(f"{len(indices)} indices for {len(point_sets)} point sets")
+    cells of ``quantizer``. Candidate ``i`` is ``point_sets[i]``, so the
+    candidates are numbered 0..n-1 in the order given."""
     points = [np.asarray(p, dtype=np.float64) for p in point_sets]
     points = [p.reshape(0, 3) if p.size == 0 else p for p in points]
     if any(p.ndim != 2 or p.shape[1] != 3 for p in points):
@@ -73,7 +70,7 @@ def build_candidates(point_sets, quantizer: Quantizer, indices=None):
     # one quantize/encode pass over every view, split back per view
     codes = quantizer.encode_points(np.concatenate(points))
     parts = np.split(codes, np.cumsum([len(p) for p in points])[:-1])
-    return [ViewCandidate(int(i), keys) for i, keys in zip(indices, parts)]
+    return [ViewCandidate(i, keys) for i, keys in enumerate(parts)]
 
 
 def _check_candidates(candidates, max_views: int, min_gain: int) -> dict:

@@ -532,7 +532,7 @@ def zorder_pool_fwd(rep, codes: np.ndarray, levels: int, params: ZFormerParams,
         ijk = decode_array(new_codes, coarse.depth)
         positions = coarse.cell_centers(ijk)
     view_of = rep.view_of[starts]
-    pooled = type(rep).derived(positions, pooled_feat, colors, view_of)
+    pooled = type(rep)(positions, pooled_feat, colors, view_of)
     cache = {"starts": starts, "counts": counts, "mean_feat": mean_feat}
     return pooled, new_codes, cache
 

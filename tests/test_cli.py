@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -67,6 +68,37 @@ def test_serialize_emits_sorted_code_pairs(tmp_path):
     codes |= pairs[:, 1].astype(np.uint64)
     assert np.all(codes[:-1] <= codes[1:])
     assert codes.max() < 1 << (3 * 10)
+
+
+def test_serialize_reads_positions_only(tmp_path, capsys):
+    # serialize sorts positions alone: feature payloads are never read, so
+    # NaN features leave its codes file unchanged, while forward rejects them
+    scene = _gen(tmp_path, views=3)
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    clean, poisoned = tmp_path / "clean.tns", tmp_path / "poisoned.tns"
+    assert main(["serialize", "--scene", str(scene), "--out", str(clean),
+                 "--config", cfg]) == 0
+    for view in scene.iterdir():
+        shape = read_tensor(view / "feature.tns").shape
+        write_tensor(view / "feature.tns", np.full(shape, np.nan, dtype=np.float32))
+    assert main(["serialize", "--scene", str(scene), "--out", str(poisoned),
+                 "--config", cfg]) == 0
+    assert poisoned.read_bytes() == clean.read_bytes()
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "out"), "--config", cfg]) == 2
+    assert "features contain non-finite values" in capsys.readouterr().err
+
+
+def test_serialize_of_a_scene_without_pixels_exits_2(tmp_path, capsys):
+    scene = _gen(tmp_path)
+    for view in scene.iterdir():
+        write_tensor(view / "depth.tns", np.zeros((0, 16), dtype=np.float32))
+    assert main(["serialize", "--scene", str(scene), "--out", str(tmp_path / "c.tns"),
+                 "--config", _write_cfg(tmp_path / "cfg.json")]) == 2
+    assert "has a pixel" in capsys.readouterr().err
 
 
 def test_forward_is_deterministic_and_writes_level_plys(tmp_path):
@@ -498,16 +530,23 @@ def test_each_error_class_exits_with_its_documented_code(tmp_path, capsys, monke
     assert capsys.readouterr().err == "error: planted failure\n"
 
 
-def test_demo_script_writes_a_ply_per_level(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "run_pipeline.py"),
-         "--workdir", "demo", "--res", "16x16", "--cell", "0.25"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    plys = sorted(p.name for p in (tmp_path / "demo" / "gaussians").iterdir())
-    assert plys == ["level_1.ply", "level_2.ply"]
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for words in (shlex.split(line, comments=True) for line in block.splitlines()):
+        if words[:1] == ["echo"]:
+            assert words[2:] == [">", "run.json"], words
+            (tmp_path / "run.json").write_text(words[1])
+        elif words:
+            assert words[0] == "zsplat", words
+            assert main(words[1:]) == 0, words
+            ran += 1
+    assert ran == 6
+    assert (tmp_path / "gaussians" / "level_1.ply").is_file()
+    assert (tmp_path / "gaussians" / "level_2.ply").is_file()
 
 
 def test_cli_and_pipeline_import_no_scipy():

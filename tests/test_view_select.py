@@ -157,20 +157,9 @@ def test_build_candidates_quantizes_points_per_view():
     assert np.isin(q.encode_points(np.array([3.5, 0.0, 0.0])), shared).all()
 
 
-def test_build_candidates_with_explicit_indices():
-    q = Quantizer(origin=np.zeros(3), cell=1.0, depth=4)
-    pts = np.array([[0.5, 0.5, 0.5]])
-    cands = vs.build_candidates([pts, pts], q, indices=[10, 20])
-    assert [c.index for c in cands] == [10, 20]
-    result = vs.select(cands, max_views=2)
-    assert result.selected == (10,)  # second view adds nothing
-
-
 def test_build_candidates_rejects_malformed_input():
     q = Quantizer(origin=np.zeros(3), cell=1.0, depth=4)
     pts = np.array([[0.5, 0.5, 0.5]])
-    with pytest.raises(InputError):
-        vs.build_candidates([pts, pts], q, indices=[5])
     with pytest.raises(InputError):
         vs.build_candidates([pts, np.zeros((2, 2))], q)
 

@@ -662,3 +662,17 @@ def test_overflowing_pool_projection_ends_in_input_error():
     rep = rep.with_features(np.abs(rep.features) + 1.0)
     with pytest.raises(InputError, match="non-finite"):
         forward_scene(rep, cfg, model)
+
+
+def test_overflowing_pooled_positions_end_in_input_error():
+    # the second block pools two finite x positions into one cell, and their
+    # member mean overflows: pooled points go through the checked
+    # constructor, so the sum ends in InputError with numpy's overflow
+    # warning silent
+    cfg = RunConfig(position_mode="member_mean", cell=1e306)
+    width = cfg.attention_config().model_width
+    positions = np.array([[1.5e308, 0.0, 0.0], [1.6e308, 0.0, 0.0]])
+    rep = PointRepresentation(positions, np.zeros((2, width), np.float32),
+                              np.zeros((2, 3)), np.zeros(2, np.int32))
+    with pytest.raises(InputError, match="positions contain non-finite values"):
+        forward_scene(rep, cfg, init_model(cfg))
