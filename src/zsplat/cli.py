@@ -40,9 +40,8 @@ from .scene import (
     check_fields,
     integer,
     load_scene_dir,
-    named,
     read_json_object,
-    unproject,
+    view_points,
     write_gaussians_ply,
     write_scene_dir,
     write_tensor,
@@ -87,19 +86,14 @@ def cmd_gen_scene(args) -> int:
     return 0
 
 
-def _view_points(views) -> list:
-    """Each loaded view's world points; an error names its view."""
-    return [named(f"view {i}", unproject, depth, camera)
-            for i, (depth, camera, _, _) in enumerate(views)]
-
-
 def cmd_serialize(args) -> int:
     cfg = _load_config(args)
     if args.depth is not None:
         check_fields({"--depth": args.depth}, {"--depth": integer(1, MAX_DEPTH)}, RangeError)
         cfg = replace(cfg, serialize_depth=args.depth)
-    # positions only: the views' colours and features are never read
-    positions = np.concatenate(_view_points(load_scene_dir(args.scene)))
+    # positions only: loading checks the colour and feature headers and reads
+    # neither payload
+    positions = np.concatenate(view_points(load_scene_dir(args.scene)))
     if not len(positions):
         raise InputError(f"no view under {args.scene} has a pixel")
     quant = make_quantizer(positions, cfg)
@@ -145,7 +139,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_select_views(args) -> int:
-    point_sets = _view_points(load_scene_dir(args.scene))
+    point_sets = view_points(load_scene_dir(args.scene))
     quant = Quantizer.fit(np.concatenate(point_sets), args.depth)
     candidates = build_candidates(point_sets, quant)
     result = select(candidates, args.max_views, args.min_gain)

@@ -6,10 +6,13 @@ everywhere: a product accumulates in its operands' dtype. Inference runs in
 float32 (linear layers, attention scores and values, activations); callers
 that pass float64 operands, the reference implementations and the gradient
 oracles, get float64 end to end. Constants are python floats, which take the
-array's dtype instead of promoting it. ``segment_sum``, the one reduction
-over contiguous runs of rows (block means, Z-order cluster means and their
-gradients), follows the same rule: it adds each segment's rows in row order
-in ``x``'s dtype, so float32 rows are summed in float32.
+array's dtype instead of promoting it. ``segment_sum``, the reduction
+over contiguous runs of rows of any length (the Z-order cluster means of
+pooling), follows the same rule: it adds each segment's rows in row order
+in ``x``'s dtype, so float32 rows are summed in float32. Runs of a fixed
+length (block means and the group branch's gradient) are summed by
+``zformer._block_sums`` under the same rule, in row order on rows wider
+than one column.
 
 The activations keep the input dtype. ``sigmoid`` is a tanh form, exact to
 about one float32 or float64 rounding. ``erf`` (and so ``gelu`` and

@@ -349,32 +349,44 @@ def _checked_features(features, m: int) -> np.ndarray:
     return feat
 
 
+def view_points(views) -> list:
+    """Each (depth, Camera, ...) view's :func:`unproject` points; an error
+    names its view by its position in ``views``."""
+    return [named(f"view {i}", unproject, depth, camera)
+            for i, (depth, camera, _, _) in enumerate(views)]
+
+
+def _payload(data, dtype) -> np.ndarray:
+    """A per-pixel payload given as an array, or as the path of its tensor
+    container, read here; a read error names the file."""
+    if isinstance(data, str):
+        data = named(data, read_tensor, data)
+    return np.asarray(data, dtype=dtype)
+
+
 def assemble(views) -> PointRepresentation:
     """Concatenate per-view unprojections into one representation.
 
     ``views`` is a sequence of (depth (H, W), Camera, colors (H, W, 3),
-    features (H, W, C) or (H*W, C), or the path of their tensor container,
-    read here) tuples. Feature width must agree across views; view_of
-    records each point's position in the input sequence.
+    features (H, W, C) or (H*W, C)) tuples; colors and features may each be
+    the path of their tensor container, read here. Feature width must agree
+    across views; view_of records each point's position in the input sequence.
     """
     if len(views) == 0:
         raise InputError("assemble needs at least one view")
-    parts_pos, parts_feat, parts_col, parts_view = [], [], [], []
+    parts_pos = view_points(views)
+    parts_feat, parts_col, parts_view = [], [], []
     width = None
-    for i, (depth, camera, colors, features) in enumerate(views):
-        depth = np.asarray(depth, dtype=np.float64)
-        pts = named(f"view {i}", unproject, depth, camera)
+    for i, ((depth, _, colors, features), pts) in enumerate(zip(views, parts_pos)):
         m = pts.shape[0]
         if m == 0:
-            raise InputError(f"view {i}: depth map {depth.shape} has no pixels")
-        colors = np.asarray(colors, dtype=np.float64)
-        if isinstance(features, str):
-            features = named(features, read_tensor, features)
-        features = np.asarray(features, dtype=np.float32)
+            raise InputError(f"view {i}: depth map {np.shape(depth)} has no pixels")
+        colors = _payload(colors, np.float64)
+        features = _payload(features, np.float32)
         if colors.size != 3 * m or features.ndim < 2 or math.prod(features.shape[:-1]) != m:
             raise InputError(
                 f"view {i}: colors {colors.shape} and features {features.shape} "
-                f"need one row per pixel of the {depth.shape} depth map"
+                f"need one row per pixel of the {np.shape(depth)} depth map"
             )
         colors = colors.reshape(m, 3)
         if colors.min() < 0.0 or colors.max() > 1.0:
@@ -386,7 +398,6 @@ def assemble(views) -> PointRepresentation:
             raise InputError(
                 f"view {i}: feature width {features.shape[1]} != {width} of view 0"
             )
-        parts_pos.append(pts)
         parts_feat.append(features)
         parts_col.append(colors)
         parts_view.append(np.full(m, i, dtype=np.int32))
@@ -540,13 +551,13 @@ def _checked_tensor_path(path) -> str:
 
 
 _VIEW_FILES = (("depth.tns", read_tensor), ("camera.json", read_camera),
-               ("color.tns", read_tensor), ("feature.tns", _checked_tensor_path))
+               ("color.tns", _checked_tensor_path), ("feature.tns", _checked_tensor_path))
 
 
 def load_view_dir(vdir):
-    """Read depth, camera and colors; check the features' header and return
-    their file's path, since they are most of a view's bytes and a request
-    reads them only for the views it assembles. An error names its file."""
+    """Read depth and camera; check the colour and feature headers and return
+    their files' paths, since the payloads are most of a view's bytes and a
+    request reads them only for the views it assembles. An error names its file."""
     view = []
     for name, read in _VIEW_FILES:
         path = os.path.join(vdir, name)
@@ -593,6 +604,16 @@ def _logit(p: np.ndarray) -> np.ndarray:
     return np.log(p) - np.log1p(-p)
 
 
+_PLY_BEFORE_COUNT = b"ply\nformat binary_little_endian 1.0\nelement vertex "
+_PLY_PROPERTIES = "".join(f"property float {name}\n" for name in _PLY_FIELDS).encode("ascii")
+
+
+def _ply_header(count: int) -> bytes:
+    """The header :func:`write_gaussians_ply` writes for ``count`` vertices,
+    the only one :func:`read_gaussians_ply` accepts."""
+    return b"%s%d\n%send_header\n" % (_PLY_BEFORE_COUNT, count, _PLY_PROPERTIES)
+
+
 def write_gaussians_ply(path, gaussians: Gaussians) -> None:
     """Write primitives in the 3DGS binary vertex layout.
 
@@ -614,54 +635,35 @@ def write_gaussians_ply(path, gaussians: Gaussians) -> None:
         axis=1,
         dtype="<f4",
     )
-    header_lines = ["ply", "format binary_little_endian 1.0", f"element vertex {m}"]
-    header_lines += [f"property float {name}" for name in _PLY_FIELDS]
-    header_lines.append("end_header")
     with open(path, "wb") as fh:
-        fh.write(("\n".join(header_lines) + "\n").encode("ascii"))
+        fh.write(_ply_header(m))
         fh.write(rows.tobytes())
 
 
 def read_gaussians_ply(path) -> Gaussians:
-    """Read a PLY written by :func:`write_gaussians_ply`, undoing the
-    opacity/scale transforms."""
+    """Read a PLY in exactly the layout :func:`write_gaussians_ply` writes,
+    undoing the opacity/scale transforms. Any other header line, a comment
+    included, is a FormatError at that line's byte offset."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    end_tag = b"end_header\n"
-    end = blob.find(end_tag)
-    if end < 0:
-        raise FormatError("missing end_header", offset=len(blob))
-    # one replacement character per undecodable byte keeps offsets in bytes
-    header = blob[:end].decode("ascii", errors="replace").split("\n")
-    if not header or header[0] != "ply":
-        raise FormatError("not a PLY file", offset=0)
-    if "format binary_little_endian 1.0" not in header[1:3]:
-        raise FormatError("expected binary little-endian 1.0", offset=4)
-    count = None
-    props = []
-    at = 0  # byte offset of the current line
-    for line in header:
-        if line.startswith("element vertex "):
-            text = line.split()[-1]
-            if not text.isdecimal() or len(text) > 18:  # no file holds more
-                raise FormatError(f"bad vertex count: {line}", offset=at)
-            count = int(text)
-        elif line.startswith("element "):
-            raise FormatError(f"unsupported element: {line}", offset=at)
-        elif line.startswith("property "):
-            parts = line.split()
-            if len(parts) != 3 or parts[1] != "float":
-                raise FormatError(f"expected 'property float <name>': {line}", offset=at)
-            props.append(parts[2])
-        at += len(line) + 1
-    if count is None:
-        raise FormatError("missing vertex element", offset=0)
-    if props != _PLY_FIELDS:
-        raise FormatError(
-            f"vertex properties differ from the Gaussian layout (got {len(props)})",
-            offset=0,
-        )
-    start = end + len(end_tag)
+    # the vertex count is the header's one variable field; no file holds
+    # 10**18 vertices, so 19 bytes show whether it is a count
+    i = len(_PLY_BEFORE_COUNT)
+    text = blob[i:i + 19].partition(b"\n")[0]
+    known = blob.startswith(_PLY_BEFORE_COUNT) and text.isdigit() and len(text) <= 18
+    header = _ply_header(int(text) if known else 0)
+    if not blob.startswith(header):
+        # some line differs, the count line at the latest when it is not known
+        at = 0
+        for want in header.splitlines(keepends=True):
+            got = blob[at:blob.find(b"\n", at) + 1 or len(blob)]
+            if got != want:
+                what = "the vertex count line" if want.startswith(b"element") else repr(want)
+                raise FormatError(f"header differs from the Gaussian layout: expected "
+                                  f"{what}, got {got[:80]!r}", offset=at)
+            at += len(got)
+    count = int(text)
+    start = len(header)
     payload = blob[start:]
     _check_payload(len(payload), count * 4 * len(_PLY_FIELDS), start)
     rows = np.frombuffer(payload, dtype="<f4").reshape(count, len(_PLY_FIELDS))

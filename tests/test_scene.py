@@ -330,15 +330,16 @@ def test_tensor_reader_reports_format_errors_with_their_offsets(tmp_path, blob,
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize("name", ["feature.tns", "color.tns"])
 @pytest.mark.parametrize("stage", ["load", "assemble"])
 @pytest.mark.parametrize("blob,message,offset", _MALFORMED_TENSORS)
 def test_feature_file_errors_name_the_file_at_load_and_at_assemble(tmp_path, stage, blob,
-                                                                   message, offset):
+                                                                   message, offset, name):
     # load checks the header, assemble reads the payload: both report the
     # reader's message and offset, prefixed with the file's path
     views = synthetic.generate_scene({"resolution": [8, 8], "n_views": 2, "feature_width": 5})
     scene.write_scene_dir(tmp_path / "scene", views)
-    path = tmp_path / "scene" / "view_1" / "feature.tns"
+    path = tmp_path / "scene" / "view_1" / name
     loaded = scene.load_scene_dir(tmp_path / "scene") if stage == "assemble" else None
     path.write_bytes(blob)
     with pytest.raises(FormatError) as err:
@@ -385,34 +386,42 @@ def test_scene_config_returns_its_own_containers():
     assert synthetic.scene_config()["sphere_center"] == [0.0, 0.0, 0.0]
 
 
-def test_features_replaced_after_loading_are_read_when_assembled(tmp_path):
+@pytest.mark.parametrize("name, field, fill, shape, unlike", [
+    ("feature.tns", "features", 7.0, (64, 5), (63, 5)),
+    ("color.tns", "colors", 0.5, (8, 8, 3), (7, 8, 3)),
+])
+def test_features_replaced_after_loading_are_read_when_assembled(tmp_path, name, field, fill,
+                                                                 shape, unlike):
     views = synthetic.generate_scene({"resolution": [8, 8], "n_views": 2, "feature_width": 5})
     scene.write_scene_dir(tmp_path / "scene", views)
     loaded = scene.load_scene_dir(tmp_path / "scene")
     fresh = tmp_path / "fresh.tns"
-    scene.write_tensor(fresh, np.full((64, 5), 7.0, dtype=np.float32))
-    os.replace(fresh, tmp_path / "scene" / "view_1" / "feature.tns")
+    scene.write_tensor(fresh, np.full(shape, fill, dtype=np.float32))
+    os.replace(fresh, tmp_path / "scene" / "view_1" / name)
     rep = scene.assemble(loaded)
-    assert np.array_equal(rep.features[:64], views[0][3])
-    assert np.all(rep.features[64:] == 7.0)
+    stored = scene.read_tensor(tmp_path / "scene" / "view_0" / name)
+    assert np.array_equal(getattr(rep, field)[:64], stored.reshape(64, -1))
+    assert np.all(getattr(rep, field)[64:] == fill)
     # the replacement is checked again: a header unlike the depth map is rejected
-    scene.write_tensor(fresh, np.zeros((63, 5), dtype=np.float32))
-    os.replace(fresh, tmp_path / "scene" / "view_1" / "feature.tns")
+    scene.write_tensor(fresh, np.zeros(unlike, dtype=np.float32))
+    os.replace(fresh, tmp_path / "scene" / "view_1" / name)
     with pytest.raises(InputError, match="view 1"):
         scene.assemble(loaded)
 
 
-def test_features_truncated_after_loading_raise_a_format_error_naming_the_file(tmp_path):
+@pytest.mark.parametrize("name, nbytes", [("feature.tns", 1280), ("color.tns", 768)])
+def test_features_truncated_after_loading_raise_a_format_error_naming_the_file(tmp_path, name,
+                                                                               nbytes):
     views = synthetic.generate_scene({"resolution": [8, 8], "n_views": 2, "feature_width": 5})
     scene.write_scene_dir(tmp_path / "scene", views)
     loaded = scene.load_scene_dir(tmp_path / "scene")
-    path = tmp_path / "scene" / "view_1" / "feature.tns"
+    path = tmp_path / "scene" / "view_1" / name
     header = path.read_bytes().index(b"\n") + 1
     with open(path, "r+b") as fh:  # truncated in place, not replaced
         fh.truncate(header + 63)
     with pytest.raises(FormatError) as err:
         scene.assemble(loaded)
-    assert str(err.value) == (f"{path}: payload holds 63 bytes, header implies 1280 "
+    assert str(err.value) == (f"{path}: payload holds 63 bytes, header implies {nbytes} "
                               f"(byte offset {header + 63})")
     assert err.value.offset == header + 63
 
@@ -543,6 +552,12 @@ def test_ply_read_rejects_foreign_layout(tmp_path):
     good = tmp_path / "g.ply"
     scene.write_gaussians_ply(good, g)
     blob = good.read_bytes()
+    # headers a general PLY parser reads: a comment line, a zero-padded count
+    for old, new in ((b"element", b"comment made elsewhere\nelement"),
+                     (b"element vertex 2", b"element vertex 02")):
+        path.write_bytes(blob.replace(old, new, 1))
+        with pytest.raises(FormatError):
+            scene.read_gaussians_ply(path)
     path.write_bytes(blob[:-5])
     with pytest.raises(FormatError, match="bytes"):
         scene.read_gaussians_ply(path)
@@ -554,7 +569,7 @@ def test_ply_read_rejects_unnamed_property(tmp_path):
     blob = good.read_bytes().replace(b"property float opacity", b"property float")
     path = tmp_path / "x.ply"
     path.write_bytes(blob)
-    with pytest.raises(FormatError, match="property float <name>") as info:
+    with pytest.raises(FormatError, match="expected b'property float opacity") as info:
         scene.read_gaussians_ply(path)
     assert info.value.offset == blob.find(b"property float\n")
 
@@ -584,7 +599,7 @@ def test_scene_dir_roundtrip(tmp_path):
     for (d1, c1, col1, f1), (d0, c0, col0, f0) in zip(loaded, views):
         assert np.array_equal(c1.cam_to_world, c0.cam_to_world)
         assert np.allclose(d1, d0, atol=1e-6)  # stored as float32
-        assert np.allclose(col1, col0, atol=1e-6)
+        assert np.allclose(scene.read_tensor(col1), col0, atol=1e-6)
         assert np.array_equal(scene.read_tensor(f1), f0)
 
 
