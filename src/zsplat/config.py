@@ -1,7 +1,7 @@
 """Run configuration: the block shape (``zformer.AttentionConfig``, whose
-fields, defaults and field rules it inherits) plus model depth, serialization
-depth and quantizer overrides. Read from one flat JSON object; unknown keys
-are rejected rather than ignored so config typos fail loudly."""
+fields, defaults and field rules it inherits) plus the run fields. Read from
+one flat JSON object; unknown keys are rejected rather than ignored so config
+typos fail loudly. ``pipeline.init_model`` checks the block budget."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .morton import MAX_DEPTH
-from .scene import integer, list_of, number, optional, read_json_object
+from .scene import integer, number, optional, read_json_object
 from .zformer import AttentionConfig
 
 
@@ -22,7 +22,6 @@ class RunConfig(AttentionConfig):
     serialize_depth: int = 16
     head_hidden: int = 128
     cell: float | None = None  # explicit quantizer cell; None fits the bbox
-    origin: tuple | None = None  # explicit quantizer origin (needs cell)
     offset_scale: float | None = None  # None = 2 coarse cells per level
 
     FIELDS = {
@@ -32,21 +31,8 @@ class RunConfig(AttentionConfig):
         "serialize_depth": integer(1, MAX_DEPTH),
         "head_hidden": integer(1),
         "cell": optional(number(0)),
-        "origin": optional(list_of(number(), 3)),
         "offset_scale": optional(number()),
     }
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_blocks * self.pool_levels >= self.serialize_depth:
-            raise ConfigError(
-                f"{self.n_blocks} blocks of {self.pool_levels} pooling levels "
-                f"exhaust serialize_depth {self.serialize_depth}"
-            )
-        if self.origin is not None:
-            if self.cell is None:
-                raise ConfigError("origin needs cell: a fitted quantizer has its own origin")
-            object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
 
     def attention_config(self) -> AttentionConfig:
         """The block shape, which this config already is."""

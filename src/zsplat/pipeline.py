@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError, RangeError
 from .gaussian_head import HeadParams, predict
 from .morton import Quantizer
 from .numerics import LinearLayer, derive_seed
@@ -54,6 +54,13 @@ class LevelOutput:
 
 
 def init_model(cfg: RunConfig) -> ModelParams:
+    """Seeded blocks and head. Each block pools ``cfg.pool_levels`` levels off
+    the serialization depth, so the blocks must leave at least one."""
+    if cfg.n_blocks * cfg.pool_levels >= cfg.serialize_depth:
+        raise ConfigError(
+            f"{cfg.n_blocks} blocks of {cfg.pool_levels} pooling levels "
+            f"exhaust serialize_depth {cfg.serialize_depth}"
+        )
     blocks = tuple(
         ZFormerParams.init(cfg, derive_seed(cfg.seed, f"block{i}"))
         for i in range(cfg.n_blocks)
@@ -63,15 +70,28 @@ def init_model(cfg: RunConfig) -> ModelParams:
 
 
 def make_quantizer(points: np.ndarray, cfg: RunConfig) -> Quantizer:
-    """Explicit cell/origin from the config when given, else a bbox fit."""
+    """A grid of ``cfg.cell`` starting just below the points, else a bbox fit.
+
+    The explicit grid must hold every point: where ``Quantizer.quantize``
+    would clamp one onto the grid's far face, this raises RangeError."""
     if cfg.cell is None:
         return Quantizer.fit(points, cfg.serialize_depth)
-    points = np.asarray(points, dtype=np.float64)
-    if cfg.origin is not None:
-        origin = np.asarray(cfg.origin, dtype=np.float64)
-    else:
-        origin = points.min(axis=0) - 1e-3 * cfg.cell
-    return Quantizer(origin, cfg.cell, cfg.serialize_depth)
+    # both reductions over one contiguous (3, n) copy cost less than one over (n, 3)
+    axes = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    lo, hi = axes.min(axis=1), axes.max(axis=1)
+    # the far corner's cell, in the float64 arithmetic quantize uses; an
+    # overflow here leaves an infinite cell index, which the check rejects
+    with np.errstate(over="ignore"):
+        quant = Quantizer(lo - 1e-3 * cfg.cell, cfg.cell, cfg.serialize_depth)
+        top = np.floor((hi - quant.origin) / quant.cell)
+        extent = hi - lo
+    if (top > (1 << quant.depth) - 1).any():
+        raise RangeError(
+            f"points span ({', '.join(f'{v:.6g}' for v in extent)}) per axis, but cell "
+            f"{cfg.cell} at depth {quant.depth} gives a grid spanning "
+            f"{(1 << quant.depth) * quant.cell:.6g}"
+        )
+    return quant
 
 
 def forward_scene(rep: PointRepresentation, cfg: RunConfig, model: ModelParams):
@@ -157,13 +177,13 @@ def _read_layer(path, entry, name: str) -> LinearLayer:
 
 def load_checkpoint(path, cfg: RunConfig) -> ModelParams:
     """Load and check a checkpoint against the config's expected shapes."""
+    expected = _named_layers(init_model(cfg))
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.exists(manifest_path):
         raise CheckpointError(f"no manifest.json under {path}")
     manifest = read_json_object(manifest_path, "manifest", CheckpointError)
     check_fields(manifest, _MANIFEST_FIELDS, lambda m: CheckpointError(f"bad manifest: {m}"))
     entries = manifest["params"]
-    expected = _named_layers(init_model(cfg))
     missing = sorted(set(expected) - set(entries))
     extra = sorted(set(entries) - set(expected))
     if missing or extra:

@@ -598,10 +598,19 @@ _PLY_FIELDS = (
 )
 # first column of the normals, SH, opacity, scales and rotations
 _PLY_SPLITS = [3, 6, 33, 34, 37]
+_MAX_LOG_SCALE = np.log(np.finfo(np.float64).max)
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
     return np.log(p) - np.log1p(-p)
+
+
+def _unreadable_vertices(rows: np.ndarray) -> np.ndarray:
+    """Indices of float32 vertex rows :func:`read_gaussians_ply` refuses: one
+    holding a non-finite value, or a log-scale whose exp overflows float64."""
+    log_scales = rows[:, _PLY_SPLITS[3]:_PLY_SPLITS[4]]
+    return np.flatnonzero(~np.isfinite(rows).all(axis=1)
+                          | (log_scales > _MAX_LOG_SCALE).any(axis=1))
 
 
 _PLY_BEFORE_COUNT = b"ply\nformat binary_little_endian 1.0\nelement vertex "
@@ -623,18 +632,22 @@ def write_gaussians_ply(path, gaussians: Gaussians) -> None:
     """
     gaussians.validate()
     m = len(gaussians)
-    rows = np.concatenate(
-        [
-            gaussians.centers,
-            np.zeros((m, 3)),
-            gaussians.sh,
-            _logit(gaussians.opacities)[:, None],
-            np.log(gaussians.scales),
-            gaussians.rotations,
-        ],
-        axis=1,
-        dtype="<f4",
-    )
+    with np.errstate(over="ignore"):  # a value past float32 range casts to inf
+        rows = np.concatenate(
+            [
+                gaussians.centers,
+                np.zeros((m, 3)),
+                gaussians.sh,
+                _logit(gaussians.opacities)[:, None],
+                np.log(gaussians.scales),
+                gaussians.rotations,
+            ],
+            axis=1,
+            dtype="<f4",
+        )
+    bad = _unreadable_vertices(rows)
+    if bad.size:
+        raise ValidationError(f"vertex {bad[0]} overflows its float32 record")
     with open(path, "wb") as fh:
         fh.write(_ply_header(m))
         fh.write(rows.tobytes())
@@ -667,12 +680,11 @@ def read_gaussians_ply(path) -> Gaussians:
     payload = blob[start:]
     _check_payload(len(payload), count * 4 * len(_PLY_FIELDS), start)
     rows = np.frombuffer(payload, dtype="<f4").reshape(count, len(_PLY_FIELDS))
-    centers, _, sh, opacity, log_scales, rotations = np.split(
-        rows.astype(np.float64), _PLY_SPLITS, axis=1
-    )
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1)
-                         | (log_scales > np.log(np.finfo(np.float64).max)).any(axis=1))
+    bad = _unreadable_vertices(rows)
     if bad.size:
         raise FormatError(f"vertex {bad[0]} holds a non-finite value or an overflowing scale",
                           offset=start + rows.strides[0] * int(bad[0]))
+    centers, _, sh, opacity, log_scales, rotations = np.split(
+        rows.astype(np.float64), _PLY_SPLITS, axis=1
+    )
     return Gaussians(centers, sigmoid(opacity[:, 0]), rotations, np.exp(log_scales), sh)

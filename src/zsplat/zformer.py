@@ -557,19 +557,21 @@ def zformer_block_fwd(rep, quantizer: Quantizer, params: ZFormerParams,
     """Sort, attend (both branches), fuse, residual-add, pool.
 
     Returns (pooled representation, pooled codes, cache). The pooled codes are
-    valid for the quantizer coarsened by ``cfg.pool_levels``.
+    valid for the quantizer coarsened by ``cfg.pool_levels``. An overflow
+    ends in ``InputError``, as in :func:`zformer_block`.
     """
-    rep_s, codes, perm = sort_by_code(rep, quantizer)
-    f = rep_s.features
-    qkv = linear(f, params.qkv())
-    grp_out, w_blocks, c_grp = group_attention_fwd(qkv, cfg)
-    sel_out, c_sel = topk_attention_fwd(qkv, w_blocks, cfg, selection)
-    fused, c_fuse = gated_fuse_fwd(f, grp_out, sel_out, params)
-    f_new = f + fused
-    rep_mid = rep_s.with_features(f_new)
-    pooled, new_codes, c_pool = zorder_pool_fwd(
-        rep_mid, codes, cfg.pool_levels, params, quantizer, cfg
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep_s, codes, perm = sort_by_code(rep, quantizer)
+        f = rep_s.features
+        qkv = linear(f, params.qkv())
+        grp_out, w_blocks, c_grp = group_attention_fwd(qkv, cfg)
+        sel_out, c_sel = topk_attention_fwd(qkv, w_blocks, cfg, selection)
+        fused, c_fuse = gated_fuse_fwd(f, grp_out, sel_out, params)
+        f_new = f + fused
+        rep_mid = rep_s.with_features(f_new)
+        pooled, new_codes, c_pool = zorder_pool_fwd(
+            rep_mid, codes, cfg.pool_levels, params, quantizer, cfg
+        )
     cache = {"perm": perm, "f": f, "grp": c_grp, "sel": c_sel, "fuse": c_fuse,
              "pool": c_pool}
     return pooled, new_codes, cache

@@ -11,7 +11,8 @@ import pytest
 
 from zsplat import cli, errors
 from zsplat.cli import main
-from zsplat.scene import decode_json_object, read_gaussians_ply, read_tensor, write_tensor
+from zsplat.scene import (decode_json_object, load_scene_dir, read_gaussians_ply, read_tensor,
+                          view_points, write_tensor)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -168,6 +169,55 @@ def test_depth_out_of_range_exits_3(tmp_path):
                      "--depth", depth]) == 3
 
 
+def test_block_budget_is_checked_where_the_blocks_are_built(tmp_path, capsys):
+    # serialize builds no block, so every depth the grid allows serializes
+    scene = _gen(tmp_path, views=1)
+    for depth in range(1, 22):
+        assert main(["serialize", "--scene", str(scene), "--out", str(tmp_path / "c.tns"),
+                     "--depth", str(depth)]) == 0
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"n_blocks": 8}')
+    capsys.readouterr()
+    assert main(["init-checkpoint", "--out", str(tmp_path / "ckpt"), "--config", str(deep)]) == 2
+    # forward checks the budget before it reads the checkpoint
+    assert main(["forward", "--scene", str(scene), "--checkpoint", str(tmp_path / "nope"),
+                 "--out-dir", str(tmp_path / "o"), "--config", str(deep)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 8 blocks of 2 pooling levels exhaust serialize_depth 16\n" * 2)
+    assert not (tmp_path / "ckpt").exists() and not (tmp_path / "o").exists()
+
+
+def test_a_grid_too_small_for_the_scene_exits_3_and_writes_nothing(tmp_path, capsys):
+    scene = _gen(tmp_path, views=1)
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt),
+                 "--config", _write_cfg(tmp_path / "cfg.json")]) == 0
+    tiny = _write_cfg(tmp_path / "tiny.json", cell=1e-6)
+    capsys.readouterr()
+    assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "o"), "--config", tiny]) == 3
+    assert main(["serialize", "--scene", str(scene), "--out", str(tmp_path / "c.tns"),
+                 "--config", tiny]) == 3
+    err = capsys.readouterr().err
+    assert err.count("but cell 1e-06 at depth 10 gives a grid spanning 0.001024") == 2
+    assert not (tmp_path / "o").exists() and not (tmp_path / "c.tns").exists()
+
+
+@pytest.mark.parametrize("cells, code", [(1023.5, 0), (1024.5, 3)],
+                         ids=["just-holds", "just-short"])
+def test_an_explicit_grid_must_hold_the_scene(tmp_path, cells, code):
+    # SMALL_CFG's depth 10 gives 1024 cells per axis; the grid starts 1e-3
+    # cells below the points, so an extent of 1023.5 cells fits and 1024.5 does not
+    scene = _gen(tmp_path, views=1)
+    points = np.concatenate(view_points(load_scene_dir(str(scene))))
+    extent = float(np.ptp(points, axis=0).max())
+    cfg = _write_cfg(tmp_path / "cfg.json", cell=extent / cells)
+    out = tmp_path / "c.tns"
+    assert main(["serialize", "--scene", str(scene), "--out", str(out),
+                 "--config", cfg]) == code
+    assert out.exists() == (code == 0)
+
+
 def test_init_checkpoint_reports_the_layers_it_saved(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "cfg.json", n_blocks=3)
     ckpt = tmp_path / "ckpt"
@@ -199,6 +249,13 @@ def _set_first_entry(manifest, key, value):
     return json.dumps(manifest).encode()
 
 
+def _swap_first_entry_files(manifest):
+    # the 1-D bias read as the weight: "weight ... and bias ... do not align"
+    entry = manifest["params"][sorted(manifest["params"])[0]]
+    entry["weight"], entry["bias"] = entry["bias"], entry["weight"]
+    return json.dumps(manifest).encode()
+
+
 MALFORMED_MANIFESTS = {
     "not-utf8": lambda m: b"\xff\xfe{",
     "json-list": lambda m: b"[1]",
@@ -211,6 +268,7 @@ MALFORMED_MANIFESTS = {
     "version-99": lambda m: json.dumps(dict(m, version=99)).encode(),
     "version-bool": lambda m: json.dumps(dict(m, version=True)).encode(),
     "unknown-top-key": lambda m: json.dumps(dict(m, bogus=1)).encode(),
+    "swapped-files": _swap_first_entry_files,
 }
 
 
@@ -561,6 +619,13 @@ def test_cli_and_pipeline_import_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_malformed_resolution_exits_2(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["gen-scene", "--out", str(out), "--res", "64by64"]) == 2
+    assert "resolution must look like 64x64, got '64by64'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_scene_config_exits_2(tmp_path):

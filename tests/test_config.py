@@ -24,11 +24,11 @@ def test_json_stays_flat(tmp_path):
     data = {"block_len": 8, "select_k": 3, "model_width": 32, "head_width": 16,
             "n_heads": 2, "pool_levels": 1, "position_mode": "member_mean",
             "seed": 4, "n_blocks": 3, "serialize_depth": 12, "head_hidden": 24,
-            "cell": 0.5, "origin": [0, 1, 2], "offset_scale": 0.1}
+            "cell": 0.5, "offset_scale": 0.1}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(data))
     cfg = RunConfig.from_json(path)
-    assert {n: getattr(cfg, n) for n in data} == dict(data, origin=(0.0, 1.0, 2.0))
+    assert {n: getattr(cfg, n) for n in data} == data
     assert replace(cfg, serialize_depth=14).block_len == 8
 
 
@@ -40,9 +40,8 @@ def test_json_stays_flat(tmp_path):
     ({"n_heads": None}, "n_heads must be an integer"),
     ({"serialize_depth": 22}, r"serialize_depth must be in \[1, 21\]"),
     ({"n_blocks": 0}, "n_blocks must be >= 1"),
-    ({"origin": (5, 5, 5)}, "origin needs cell"),
 ], ids=["block_len-0", "heads", "position_mode", "block_len-str", "n_heads-null",
-        "depth-22", "n_blocks-0", "origin-without-cell"])
+        "depth-22", "n_blocks-0"])
 def test_inherited_and_own_checks_raise_config_error(field, message):
     with pytest.raises(ConfigError, match=message):
         RunConfig(**field)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import warnings
@@ -202,6 +203,13 @@ def test_point_representation_take_and_validation():
         scene.PointRepresentation(
             rep.positions * np.nan, rep.features, rep.colors, rep.view_of
         )
+    for args, message in [
+        ((rep.positions[:, :2], rep.features, rep.colors, rep.view_of), "positions must be"),
+        ((rep.positions, rep.features, rep.colors[:, :2], rep.view_of), "colors must be"),
+        ((rep.positions, rep.features, rep.colors, rep.view_of[1:]), "view_of must be"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            scene.PointRepresentation(*args)
     # take and with_features check only what they bring in
     for index in (np.int64(0), perm[:, None]):
         with pytest.raises(InputError, match="1-D index"):
@@ -533,14 +541,31 @@ def test_ply_read_rejects_what_validate_would_without_warning(tmp_path, field, v
     assert err.value.offset == len(header + tag) + rows[0].nbytes
 
 
-def test_ply_rejects_invalid_gaussians(tmp_path):
+def _row_set(row, value):
+    """A change that sets the first entry of one row of a field."""
+    def change(array):
+        array = array.copy()
+        array[row].flat[0] = value
+        return array
+    return change
+
+
+@pytest.mark.parametrize("field, change, message", [
+    ("opacities", lambda a: a * 0.0, "opacities: value 0.0 at index 0"),
+    ("rotations", lambda a: a * 2.0, "rotations: norm"),
+    ("sh", lambda a: a[:, :9], r"sh: expected shape \(4, 27\), got \(4, 9\)"),
+    ("centers", _row_set(2, np.inf), "centers: non-finite at index 2"),
+    ("scales", _row_set(1, 0.0), "scales: non-positive entry at index 1"),
+    # finite in float64, past float32 range in the stored record
+    ("centers", _row_set(3, 1e39), "vertex 3 overflows its float32 record"),
+], ids=["opacity-0", "rotation-norm", "sh-shape", "center-inf", "scale-0", "center-1e39"])
+def test_ply_rejects_invalid_gaussians(tmp_path, field, change, message):
     g = _valid_gaussians(4)
-    bad = scene.Gaussians(g.centers, g.opacities * 0.0, g.rotations, g.scales, g.sh)
-    with pytest.raises(ValidationError, match="index 0"):
-        scene.write_gaussians_ply(tmp_path / "bad.ply", bad)
-    bad = scene.Gaussians(g.centers, g.opacities, g.rotations * 2.0, g.scales, g.sh)
-    with pytest.raises(ValidationError, match="rotations"):
-        scene.write_gaussians_ply(tmp_path / "bad.ply", bad)
+    bad = dataclasses.replace(g, **{field: change(getattr(g, field))})
+    path = tmp_path / "bad.ply"
+    with pytest.raises(ValidationError, match=message):
+        scene.write_gaussians_ply(path, bad)
+    assert not path.exists()
 
 
 def test_ply_read_rejects_foreign_layout(tmp_path):

@@ -30,6 +30,17 @@ def test_hand_worked_instance():
     result.validate()
 
 
+@pytest.mark.parametrize("selected, covered, gains, message", [
+    ((0, 1), 3, (3,), "one marginal gain per selected view"),
+    ((2, 2), 3, (2, 1), "indices must be unique"),
+    ((0, 1), 3, (3, 0), "gains must be positive"),
+    ((0, 1), 4, (2, 1), "gains sum to 3, covered is 4"),
+], ids=["gain-count", "repeated-view", "zero-gain", "sum"])
+def test_selection_result_validate_rejects(selected, covered, gains, message):
+    with pytest.raises(InputError, match=message):
+        vs.SelectionResult(selected, covered, gains).validate()
+
+
 def test_first_pick_is_largest_set():
     cands = _candidates([{1, 2}, {1, 2, 3, 4, 5}, {6}])
     result = vs.select(cands, max_views=1)

@@ -20,7 +20,7 @@ from zsplat.numerics import (
     segment_sum,
     uniform01,
 )
-from zsplat.pipeline import forward_scene, init_model
+from zsplat.pipeline import forward_scene, init_model, make_quantizer
 from zsplat.scene import PointRepresentation
 
 
@@ -651,7 +651,8 @@ def test_block_projects_through_w_o_once(monkeypatch):
 def test_overflowing_pool_projection_ends_in_input_error():
     # pooling checks the features it computes, so the overflow ends in
     # InputError, and numpy's overflow warning (an error under this suite's
-    # warning filter) stays silent
+    # warning filter) stays silent, in the inference block and in the
+    # training forward alike
     cfg = RunConfig(seed=3, cell=0.5)
     model = init_model(cfg)
     pool = model.blocks[0].pool_proj
@@ -662,6 +663,8 @@ def test_overflowing_pool_projection_ends_in_input_error():
     rep = rep.with_features(np.abs(rep.features) + 1.0)
     with pytest.raises(InputError, match="non-finite"):
         forward_scene(rep, cfg, model)
+    with pytest.raises(InputError, match="non-finite"):
+        zformer.zformer_block_fwd(rep, make_quantizer(rep.positions, cfg), model.blocks[0], cfg)
 
 
 def test_overflowing_pooled_positions_end_in_input_error():
