@@ -21,7 +21,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import CheckpointError, ConfigError, RangeError
 from .gaussian_head import HeadParams, predict
-from .morton import Quantizer
+from .morton import Quantizer, bounding_box
 from .numerics import LinearLayer, derive_seed
 from .scene import (PointRepresentation, check_fields, file_in, integer, one_of, optional,
                     read_json_object, read_tensor, worded, write_tensor)
@@ -76,9 +76,7 @@ def make_quantizer(points: np.ndarray, cfg: RunConfig) -> Quantizer:
     would clamp one onto the grid's far face, this raises RangeError."""
     if cfg.cell is None:
         return Quantizer.fit(points, cfg.serialize_depth)
-    # both reductions over one contiguous (3, n) copy cost less than one over (n, 3)
-    axes = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
-    lo, hi = axes.min(axis=1), axes.max(axis=1)
+    lo, hi = bounding_box(points)
     # the far corner's cell, in the float64 arithmetic quantize uses; an
     # overflow here leaves an infinite cell index, which the check rejects
     with np.errstate(over="ignore"):

@@ -129,6 +129,33 @@ def test_quantizer_fit_handles_degenerate_extents():
     assert q2.cell > 0
 
 
+def _fit_from_axis0_reductions(points, depth):
+    # Quantizer.fit's box as min(axis=0) / max(axis=0) of the (n, 3) rows
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    extent = hi - lo
+    span = float(extent.max()) or 1.0
+    margin = 0.5 * morton._FIT_PAD * np.maximum(extent, span * 1e-12)
+    return lo - margin, span * (1.0 + morton._FIT_PAD) / (1 << depth)
+
+
+@pytest.mark.parametrize("case", ["random", "single", "collinear", "extent 1e12"])
+def test_quantizer_fit_matches_axis0_reductions_bit_for_bit(case):
+    t = uniform01(37, 500)[:, None]
+    points = {
+        "random": (uniform01(36, 3 * 500).reshape(-1, 3) - 0.4) * 7,
+        "single": np.array([[1.5, -2.25, 3.0]]),
+        "collinear": np.array([-1.0, 2.0, 0.5]) + t * np.array([0.3, -1.2, 2.0]),
+        "extent 1e12": np.column_stack([t[:, 0] * 1e12 - 3e11, -t[:, 0], t[:, 0] * 1e-3]),
+    }[case]
+    for depth in (4, 16, 21):
+        q = morton.Quantizer.fit(points, depth)
+        origin, cell = _fit_from_axis0_reductions(points, depth)
+        assert q.origin.tobytes() == origin.tobytes()
+        assert q.cell == cell
+        assert [a.tolist() for a in morton.bounding_box(points)] == [
+            points.min(axis=0).tolist(), points.max(axis=0).tolist()]
+
+
 def test_quantizer_coarsen_matches_shifted_cells():
     pts = (uniform01(31, 3 * 300).reshape(-1, 3)) * 40 - 11
     q = morton.Quantizer.fit(pts, 12)
@@ -156,6 +183,9 @@ def test_quantizer_rejects_bad_construction():
         morton.Quantizer(np.zeros(3), 1.0, 4).quantize(np.array([np.nan, 0, 0]))
     with pytest.raises(InputError):
         morton.Quantizer.fit(np.zeros((0, 3)), 4)
+    for bad in (np.nan, np.inf, -np.inf):  # seen through the box's bounds
+        with pytest.raises(InputError, match="non-finite"):
+            morton.Quantizer.fit(np.array([[0.0, 1.0, 2.0], [0.5, bad, 0.0]]), 4)
     for depth in (-1, 0, 22, 10**6):  # the depth is checked before the points
         with pytest.raises(RangeError, match="depth must be in"):
             morton.Quantizer.fit(np.zeros((0, 3)), depth)

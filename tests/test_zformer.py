@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -123,30 +124,46 @@ def test_topk_partial_selection_matches_gather_reference():
     assert np.abs(got - want).max() < 1e-5
 
 
-def _assert_chunked_matches_loop(dtype, tol, n, n_heads, last_every=2, max_score=None):
+def _topk_inputs(dtype, n, n_heads, last_every=2):
+    """Config, q, k, v and a top-k selection (k=4 of blocks of 32) in which
+    every last_every-th query block also attends to the last block, ragged or
+    not."""
     cfg = zformer.AttentionConfig(
         block_len=32, select_k=4, model_width=16, head_width=8, n_heads=n_heads
     )
     params = _params(cfg).astype(dtype)
     f = _features(n, 16, seed=61, dtype=dtype)
     q, k, v = np.split(linear(f, params.qkv()), 3, axis=1)
+    _, w_blocks = zformer.group_attention(f, params, cfg)
+    w_blocks[::last_every, -1] += 1.0
+    selection = zformer.select_blocks(w_blocks, 4)
+    assert (selection[::last_every] == selection.shape[0] - 1).any(axis=1).all()
+    return cfg, q, k, v, selection
+
+
+def _assert_kernel_matches_loop(cfg, q, k, v, selection, tol, bounded):
+    # bounded names the softmax the kernel takes: True skips the row max
+    scale = zformer._head_slices(cfg)[1]
+    keys = selection.shape[1] * cfg.block_len
+    assert zformer._scores_are_bounded(q * scale, k, v, cfg.n_heads, keys) is bounded
+    n = len(q)
+    chunked = zformer._topk_chunked(q, k, v, selection, cfg)
+    counts = zformer._block_counts(n, cfg.block_len)
+    loop, _ = zformer._topk_loop_fwd(q, k, v, selection, counts, cfg)
+    assert chunked.shape == loop.shape == (n, cfg.head_width)
+    assert np.abs(chunked.astype(np.float64) - loop.astype(np.float64)).max() < tol
+
+
+def _assert_chunked_matches_loop(dtype, tol, n, n_heads, last_every=2, max_score=None,
+                                 bounded=True):
+    cfg, q, k, v, selection = _topk_inputs(dtype, n, n_heads, last_every)
     if max_score is not None:
         # scale the queries so the largest scaled score is max_score: each
         # softmax row is then dominated by its top key
         slices, scale = zformer._head_slices(cfg)
         top = max(np.abs(q[:, hs] @ k[:, hs].T).max() for hs in slices) * scale
         q = q * dtype(max_score / top)
-    _, w_blocks = zformer.group_attention(f, params, cfg)
-    # every last_every-th query block also attends to the last block, ragged
-    # or not
-    w_blocks[::last_every, -1] += 1.0
-    selection = zformer.select_blocks(w_blocks, 4)
-    assert (selection[::last_every] == selection.shape[0] - 1).any(axis=1).all()
-    counts = zformer._block_counts(n, 32)
-    chunked = zformer._topk_chunked(q, k, v, selection, cfg)
-    loop, _ = zformer._topk_loop_fwd(q, k, v, selection, counts, cfg)
-    assert chunked.shape == loop.shape == (n, 8)
-    assert np.abs(chunked.astype(np.float64) - loop.astype(np.float64)).max() < tol
+    _assert_kernel_matches_loop(cfg, q, k, v, selection, tol, bounded)
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
@@ -174,8 +191,38 @@ def test_topk_chunked_matches_loop_across_chunks(monkeypatch, dtype, tol, n, n_h
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
 def test_topk_chunked_matches_loop_with_one_dominant_key(dtype, tol, n_heads):
     # scaled scores reach +-80, so exp of the shifted scores spans the whole
-    # float32 range before the deferred division by the row sums
-    _assert_chunked_matches_loop(dtype, tol, 250, n_heads, max_score=80.0)
+    # float32 range before the deferred division by the row sums; the score
+    # bound fails, so the kernel takes the max-shift softmax
+    _assert_chunked_matches_loop(dtype, tol, 250, n_heads, max_score=80.0, bounded=False)
+
+
+@pytest.mark.parametrize("side", [-0.05, 0.05, 20.0])
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
+def test_topk_chunked_matches_loop_on_both_sides_of_the_score_bound(dtype, tol, n_heads,
+                                                                    side):
+    # n = 225 leaves a one-row final block. In each head, the query row of
+    # largest norm gets a key parallel to it with k's largest norm, so one
+    # score reaches the Cauchy-Schwarz bound; q is then scaled so the bound
+    # plus ln(k·L) and ln(max(1, max|v|)) sits 0.05 below the limit (the
+    # no-max softmax, exp within e^0.05 of its largest allowed value), 0.05
+    # above it (the max shift) or 20 above it, where float32 exp of the top
+    # score would overflow without the shift
+    cfg, q, k, v, selection = _topk_inputs(dtype, 225, n_heads)
+    slices, scale = zformer._head_slices(cfg)
+    q, k = q.copy(), k.copy()
+    for hs in slices:
+        i = np.argmax(np.linalg.norm(q[:, hs], axis=1))
+        k_top = np.linalg.norm(k[:, hs], axis=1).max()
+        k[i, hs] = q[i, hs] * dtype(k_top / np.linalg.norm(q[i, hs]))
+    bound = max(np.linalg.norm(q[:, hs] * scale, axis=1).max()
+                * np.linalg.norm(k[:, hs], axis=1).max() for hs in slices)
+    keys = selection.shape[1] * cfg.block_len
+    room = zformer._EXP_BOUND - np.log(keys) - np.log(max(1.0, np.abs(v).max()))
+    q *= dtype((room + side) / bound)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_kernel_matches_loop(cfg, q, k, v, selection, tol, bounded=side < 0)
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
@@ -192,6 +239,9 @@ def test_topk_chunked_working_set_is_cache_sized():
     cfg = zformer.AttentionConfig(block_len=32, model_width=width, head_width=width)
     q, k, v = np.split(_features(n, 3 * width, seed=65), 3, axis=1)
     selection = zformer.select_blocks(uniform01(66, 128 * 128).reshape(128, 128), 64)
+    # the scores are bounded, so the kernel takes the no-max softmax
+    scale = zformer._head_slices(cfg)[1]
+    assert zformer._scores_are_bounded(q * scale, k, v, 1, 64 * 32)
     tracemalloc.start()
     try:
         zformer._topk_chunked(q, k, v, selection, cfg)
