@@ -94,7 +94,14 @@ def softmax_rows_backward(grad: np.ndarray, probs: np.ndarray) -> np.ndarray:
 def segment_sum(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Sums of the contiguous row segments of ``x`` that begin at ``starts``:
     row i of the result is ``x[starts[i]:starts[i+1]].sum(0)``, the last
-    segment running to the end, in ``x``'s dtype.
+    segment running to the end, in ``x``'s dtype. See ``segment_sums``."""
+    return segment_sums([x], starts)[0]
+
+
+def segment_sums(arrays, starts: np.ndarray) -> list:
+    """``segment_sum`` of each of ``arrays``, which share their row count,
+    over one ``starts``: the starts are checked and the step plan is built
+    once for all of them.
 
     Each segment's rows are added in row order onto a zero, so the result is
     bit-equal to a per-segment loop ``acc = 0; acc += row``. Segments of at
@@ -103,11 +110,13 @@ def segment_sum(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     segment is summed by one numpy reduction. The Python-level steps are at
     most ``_SHORT_SEGMENT`` plus one per longer segment: fewer than
     ``64 + len(x) / 65`` whatever the lengths.
-    ``starts`` must begin at 0, rise strictly and stay below ``len(x)``: every
-    segment holds at least one row."""
-    x = np.ascontiguousarray(x)
+    ``starts`` must begin at 0, rise strictly and stay below the row count:
+    every segment holds at least one row."""
+    arrays = [np.ascontiguousarray(x) for x in arrays]
     starts = np.asarray(starts)
-    n = x.shape[0]
+    n = arrays[0].shape[0]
+    if any(x.shape[0] != n for x in arrays):
+        raise InputError(f"segment sums need one row count, got {[len(x) for x in arrays]}")
     if (starts.ndim != 1 or not np.issubdtype(starts.dtype, np.integer)
             or len(starts) == 0 or starts[0] != 0 or starts[-1] >= n
             or np.any(starts[1:] <= starts[:-1])):
@@ -115,24 +124,31 @@ def segment_sum(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
             f"segment starts must be integers rising strictly from 0 below {n}"
         )
     lengths = np.diff(starts, append=n)
-    out = np.empty((len(starts),) + x.shape[1:], x.dtype)
     short = np.flatnonzero(lengths <= _SHORT_SEGMENT)
     # stable, so each step's gather walks x forward
     order = short[np.argsort(-lengths[short], kind="stable")]
     first, longest_first = starts[order], lengths[order]
     # step p runs over the segments of the order longer than p, a prefix
     active = np.searchsorted(-longest_first, -np.arange(longest_first.max(initial=0)))
-    sums = x[first]
-    sums += 0.0  # 0.0 + row 0, as the loop does: -0.0 becomes +0.0
+    sums = [x[first] for x in arrays]
+    for s in sums:
+        s += 0.0  # 0.0 + row 0, as the loop does: -0.0 becomes +0.0
     for p, k in enumerate(active[1:], start=1):
-        sums[:k] += x[first[:k] + p]
-    out[order] = sums
-    for i in np.flatnonzero(lengths > _SHORT_SEGMENT):
-        rows = x[starts[i]:starts[i] + lengths[i]]
-        # numpy reduces a C-ordered array down its rows in row order (from
-        # +0.0) but sums a single column pairwise; a running sum is in row
-        # order by definition
-        out[i] = rows.sum(axis=0) if rows[0].size > 1 else 0.0 + np.add.accumulate(rows)[-1]
+        rows = first[:k] + p
+        for s, x in zip(sums, arrays):
+            s[:k] += x[rows]
+    long = np.flatnonzero(lengths > _SHORT_SEGMENT)
+    out = []
+    for x in arrays:
+        total = np.empty((len(starts),) + x.shape[1:], x.dtype)
+        total[order] = sums.pop(0)  # each step sum is freed once scattered
+        for i in long:
+            seg = x[starts[i]:starts[i] + lengths[i]]
+            # numpy reduces a C-ordered array down its rows in row order (from
+            # +0.0) but sums a single column pairwise; a running sum is in row
+            # order by definition
+            total[i] = seg.sum(axis=0) if seg[0].size > 1 else 0.0 + np.add.accumulate(seg)[-1]
+        out.append(total)
     return out
 
 

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral, Real
@@ -356,12 +357,18 @@ def view_points(views) -> list:
             for i, (depth, camera, _, _) in enumerate(views)]
 
 
-def _payload(data, dtype) -> np.ndarray:
+def _open_payload(data, files: ExitStack):
     """A per-pixel payload given as an array, or as the path of its tensor
-    container, read here; a read error names the file."""
-    if isinstance(data, str):
-        data = named(data, read_tensor, data)
-    return np.asarray(data, dtype=dtype)
+    container: (shape, fill), where ``fill(rows)`` copies the payload into
+    ``rows``, which hold as many elements. A path is opened on ``files`` and
+    its header checked here; ``fill`` reads its payload. An error names the
+    file."""
+    if not isinstance(data, str):
+        data = np.asarray(data)
+        return data.shape, lambda rows: np.copyto(rows, data.reshape(rows.shape), "unsafe")
+    fh = files.enter_context(open(data, "rb"))
+    dtype, shape, start = named(data, _read_header, fh)
+    return tuple(shape), lambda rows: named(data, _read_payload, fh, rows, dtype, start)
 
 
 def assemble(views) -> PointRepresentation:
@@ -369,44 +376,44 @@ def assemble(views) -> PointRepresentation:
 
     ``views`` is a sequence of (depth (H, W), Camera, colors (H, W, 3),
     features (H, W, C) or (H*W, C)) tuples; colors and features may each be
-    the path of their tensor container, read here. Feature width must agree
-    across views; view_of records each point's position in the input sequence.
+    the path of their tensor container, read here straight into the rows of
+    the concatenated arrays, which are allocated once. Feature width must
+    agree across views; view_of records each point's position in the input
+    sequence.
     """
     if len(views) == 0:
         raise InputError("assemble needs at least one view")
     parts_pos = view_points(views)
-    parts_feat, parts_col, parts_view = [], [], []
-    width = None
-    for i, ((depth, _, colors, features), pts) in enumerate(zip(views, parts_pos)):
-        m = pts.shape[0]
+    sizes = [pts.shape[0] for pts in parts_pos]
+    all_colors = np.empty((sum(sizes), 3), np.float64)
+    all_features = None
+    end = 0
+    for i, ((depth, _, colors, features), m) in enumerate(zip(views, sizes)):
         if m == 0:
             raise InputError(f"view {i}: depth map {np.shape(depth)} has no pixels")
-        colors = _payload(colors, np.float64)
-        features = _payload(features, np.float32)
-        if colors.size != 3 * m or features.ndim < 2 or math.prod(features.shape[:-1]) != m:
-            raise InputError(
-                f"view {i}: colors {colors.shape} and features {features.shape} "
-                f"need one row per pixel of the {np.shape(depth)} depth map"
-            )
-        colors = colors.reshape(m, 3)
-        if colors.min() < 0.0 or colors.max() > 1.0:
-            raise InputError(f"view {i}: colors must lie in [0, 1]")
-        features = features.reshape(m, -1)
-        if width is None:
-            width = features.shape[1]
-        elif features.shape[1] != width:
-            raise InputError(
-                f"view {i}: feature width {features.shape[1]} != {width} of view 0"
-            )
-        parts_feat.append(features)
-        parts_col.append(colors)
-        parts_view.append(np.full(m, i, dtype=np.int32))
-    return PointRepresentation(
-        np.concatenate(parts_pos),
-        np.concatenate(parts_feat),
-        np.concatenate(parts_col),
-        np.concatenate(parts_view),
-    )
+        rows = slice(end, end + m)
+        end += m
+        with ExitStack() as files:
+            colors_shape, fill_colors = _open_payload(colors, files)
+            shape, fill_features = _open_payload(features, files)
+            if (math.prod(colors_shape) != 3 * m or len(shape) < 2
+                    or math.prod(shape[:-1]) != m):
+                raise InputError(
+                    f"view {i}: colors {colors_shape} and features {shape} "
+                    f"need one row per pixel of the {np.shape(depth)} depth map"
+                )
+            fill_colors(all_colors[rows])
+            if all_colors[rows].min() < 0.0 or all_colors[rows].max() > 1.0:
+                raise InputError(f"view {i}: colors must lie in [0, 1]")
+            if all_features is None:
+                all_features = np.empty((len(all_colors), shape[-1]), np.float32)
+            elif shape[-1] != all_features.shape[1]:
+                raise InputError(
+                    f"view {i}: feature width {shape[-1]} != {all_features.shape[1]} of view 0"
+                )
+            fill_features(all_features[rows])
+    view_of = np.repeat(np.arange(len(views), dtype=np.int32), sizes)
+    return PointRepresentation(np.concatenate(parts_pos), all_features, all_colors, view_of)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +529,19 @@ def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
         dtype, shape, start = _read_header(fh)
         array = np.empty(shape, dtype)
-        # a file shortened since the size check reads short
-        _check_payload(fh.readinto(array), array.nbytes, start)
+        _read_payload(fh, array, dtype, start)
     return array
+
+
+def _read_payload(fh, rows: np.ndarray, dtype, start: int) -> None:
+    """Read the payload at ``fh``, ``dtype`` from byte ``start``, into
+    ``rows``, which hold as many elements as its header: straight in when
+    ``rows`` has the file's dtype, else through one array of it."""
+    buf = rows if rows.dtype == dtype else np.empty(rows.shape, dtype)
+    # a file shortened since the size check reads short
+    _check_payload(fh.readinto(buf), buf.nbytes, start)
+    if buf is not rows:
+        rows[...] = buf
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,19 @@ A block runs on features sorted along the Z-curve (``morton.sort_by_code``):
    from a ones column appended to each head's values, dividing after the value
    product;
 3. gated fusion — two per-token sigmoid gates mix the branch outputs in head
-   space, ``w_o`` projects the mix once (``w_o`` is linear, so this equals
-   gating the two projected branches), and the result is added to the input
-   features (residual);
+   space (the group branch's one row per block), ``w_o`` projects the mix
+   once (``w_o`` is linear, so this equals gating the two projected
+   branches), and the result is added to the input features (residual);
 4. Z-order pooling — tokens whose codes agree after dropping ``pool_levels``
    levels collapse to one point (mean features through a projection, mean
    colors, cell-center positions); a cell's members are a contiguous run of
    the Z-sorted rows, so each mean is a segment sum over those rows.
+
+The inference block, ``zformer_block``, drops each n-row array once its last
+reader has run: the stacked ``qkv`` once the kernel has copied it into its
+block arrays, those once the kernel has run, and the sorted features once the
+fused ones replace them. The schedule changes no arithmetic, so its output
+(and every PLY byte) equals the public wrappers composed one at a time.
 
 Each op has a ``*_fwd`` variant returning a cache and a matching ``*_bwd``
 computing exact gradients by hand; the top-k block selection is treated as
@@ -46,7 +52,7 @@ from .numerics import (
     init_linear,
     linear,
     linear_backward,
-    segment_sum,
+    segment_sums,
     sigmoid,
     softmax_rows,
     softmax_rows_backward,
@@ -205,11 +211,12 @@ def _head_slices(cfg: AttentionConfig):
 
 def group_attention_fwd(qkv: np.ndarray, cfg: AttentionConfig):
     """Block-pooled attention over ``qkv``, the stacked Q/K/V projections of
-    the Z-sorted tokens. Returns (out n x head, w_blocks B x B, cache).
+    the Z-sorted tokens. Returns (block_out B x head, w_blocks B x B, cache).
 
-    ``w_blocks`` is the head-mean of the block softmax matrices; with one head
-    it is exactly the attention over pooled queries/keys. ``out`` repeats each
-    block's head-space output for its tokens; ``gated_fuse`` applies ``w_o``.
+    Every token's head-space output is its block's row of ``block_out``
+    (``cache["counts"]`` holds the block lengths); ``w_blocks`` is the
+    head-mean of the block softmax matrices, with one head exactly the
+    attention over pooled queries/keys. ``gated_fuse`` applies ``w_o``.
     """
     counts = _block_counts(qkv.shape[0], cfg.block_len)
     pooled = block_pool(qkv, cfg.block_len)
@@ -223,17 +230,17 @@ def group_attention_fwd(qkv: np.ndarray, cfg: AttentionConfig):
         probs.append(p)
         block_out[:, hs] = p @ vb[:, hs]
     w_blocks = probs[0] if len(probs) == 1 else sum(probs) / len(probs)
-    out = np.repeat(block_out, counts, axis=0)
     cache = {
         "pooled": pooled, "counts": counts, "block_len": cfg.block_len,
         "probs": probs, "scale": scale, "slices": slices,
     }
-    return out, w_blocks, cache
+    return block_out, w_blocks, cache
 
 
 def group_attention(f: np.ndarray, params: ZFormerParams, cfg: AttentionConfig):
     """Group branch of the Z-sorted features ``f``: (out n x head, w_blocks)."""
-    return group_attention_fwd(linear(f, params.qkv()), cfg)[:2]
+    block_out, w_blocks, cache = group_attention_fwd(linear(f, params.qkv()), cfg)
+    return np.repeat(block_out, cache["counts"], axis=0), w_blocks
 
 
 def group_attention_bwd(g_out: np.ndarray, cache: dict) -> np.ndarray:
@@ -357,11 +364,41 @@ def _topk_chunked(q, k, v, selection, cfg):
     """Inference kernel: query blocks are batched in chunks whose gathered
     keys, values and scores fit in ``_CHUNK_BYTES``, about one core's L2.
 
+    ``_topk_layout`` copies q, k and v into contiguous block arrays and
+    ``_topk_chunks`` runs the chunk loop over them; a caller that holds
+    nothing else of q, k and v can release them between the two. Neither
+    step writes to an array it is given."""
+    return _topk_chunks(*_topk_layout(q, k, v, cfg), len(q), selection, cfg)
+
+
+def _topk_layout(q, k, v, cfg):
+    """The kernel's block arrays of ``n`` tokens: (q_blocks, k_blocks,
+    v_blocks), each (n_blocks, block_len, ·), zero-padded to whole blocks.
+
     q, k and v arrive as strided column views of the stacked projection; they
-    are copied once into contiguous block arrays, zero-padded to whole blocks,
-    so every gathered key/value block is one contiguous run, and q is scaled
-    once. v is copied once into per-head blocks that each end in a ones
-    column, ``[v_0 | 1 | v_1 | 1 …]``.
+    are copied once, so every gathered key/value block is one contiguous run,
+    and q is scaled once. v is copied into per-head blocks that each end in a
+    ones column, ``[v_0 | 1 | v_1 | 1 …]``."""
+    n, width = q.shape
+    block_len = cfg.block_len
+    n_blocks = -(-n // block_len)
+    pad = n_blocks * block_len - n
+    slices, scale = _head_slices(cfg)
+    n_heads, dh = len(slices), width // len(slices)
+    q_blocks, k_blocks = (
+        np.pad(x, ((0, pad), (0, 0))).reshape(n_blocks, block_len, width)
+        for x in (q, k)
+    )
+    q_blocks *= scale
+    # padded value rows keep their ones: their keys score -inf
+    v_blocks = np.ones((n_blocks * block_len, n_heads, dh + 1), q.dtype)
+    v_blocks[:n, :, :dh] = v.reshape(n, n_heads, dh)
+    return q_blocks, k_blocks, v_blocks.reshape(n_blocks, block_len, n_heads * (dh + 1))
+
+
+def _topk_chunks(q_blocks, k_blocks, v_blocks, n, selection, cfg):
+    """The kernel's chunk loop over the ``_topk_layout`` blocks of ``n``
+    tokens; returns the n x head output.
 
     Each chunk makes three passes over its k·L x block_len scores per head:
     the product ``ks @ q_blockᵀ``, laid out keys by queries, ``exp`` in place,
@@ -382,31 +419,21 @@ def _topk_chunked(q, k, v, selection, cfg):
     and each chunk's products are written straight into the output. A chunk
     sized to the cache keeps the gathered tiles in L2 from the gather through
     the two products, instead of streaming every pass through memory."""
-    n, width = q.shape
-    block_len = cfg.block_len
-    n_blocks = -(-n // block_len)
+    n_blocks, block_len, width = q_blocks.shape
     pad = n_blocks * block_len - n
-    slices, scale = _head_slices(cfg)
+    slices = _head_slices(cfg)[0]
     n_heads, dh = len(slices), width // len(slices)
-    q_blocks, k_blocks = (
-        np.pad(x, ((0, pad), (0, 0))).reshape(n_blocks, block_len, width)
-        for x in (q, k)
-    )
-    q_blocks *= scale
-    # padded value rows keep their ones: their keys score -inf
-    v_blocks = np.ones((n_blocks * block_len, n_heads, dh + 1), q.dtype)
-    v_blocks[:n, :, :dh] = v.reshape(n, n_heads, dh)
-    v_blocks = v_blocks.reshape(n_blocks, block_len, n_heads * (dh + 1))
+    dtype = q_blocks.dtype
     k_sel = selection.shape[1]
     kl = k_sel * block_len
     shift = not _scores_are_bounded(q_blocks, k_blocks, v_blocks, n_heads, kl)
-    per_block = kl * q.dtype.itemsize * (2 * width + block_len)
+    per_block = kl * dtype.itemsize * (2 * width + block_len)
     chunk = max(1, min(n_blocks, int(_CHUNK_BYTES / max(per_block, 1))))
-    ks = np.empty((chunk, kl, width), q.dtype)
-    vs = np.empty((chunk, kl, n_heads * (dh + 1)), q.dtype)
-    scores = np.empty((chunk, kl, block_len), q.dtype)
-    sums = np.empty((chunk, block_len, dh + 1), q.dtype)
-    out = np.empty((n_blocks, block_len, width), q.dtype)
+    ks = np.empty((chunk, kl, width), dtype)
+    vs = np.empty((chunk, kl, n_heads * (dh + 1)), dtype)
+    scores = np.empty((chunk, kl, block_len), dtype)
+    sums = np.empty((chunk, block_len, dh + 1), dtype)
+    out = np.empty((n_blocks, block_len, width), dtype)
     for c0 in range(0, n_blocks, chunk):
         c1 = min(c0 + chunk, n_blocks)
         m = c1 - c0
@@ -504,22 +531,38 @@ def _w_o_with_bias(w_o: LinearLayer) -> LinearLayer:
     return LinearLayer(weight, np.zeros_like(w_o.bias), w_o.seed)
 
 
-def gated_fuse_fwd(f, grp_out, sel_out, params: ZFormerParams):
+def _gated_fuse(f, grp, block_len, sel, params: ZFormerParams):
     """Per-token sigmoid gates mix the head-space branch outputs, and ``w_o``
     projects the mix once: out = w_o(g0·group + g1·selected) with bias
     (g0 + g1)·b, which is g0·w_o(group) + g1·w_o(selected). The mix carries
-    g0 + g1 as a last column, so the bias is part of the one product."""
+    g0 + g1 as a last column, so the bias is part of the one product.
+
+    ``grp`` holds one row per block of ``block_len`` consecutive tokens, the
+    last block possibly short: the group branch's block outputs, or one row
+    per token with ``block_len`` 1. ``sel`` (n x head) is overwritten with
+    g1·sel. Returns (out, gates, mix)."""
     z = linear(f, params.gate)
     if z.shape[1] != 2:
         raise InputError(f"gate layer must output 2 values, got {z.shape[1]}")
     g = sigmoid(z)
-    hw = grp_out.shape[1]
-    mix = np.empty((len(f), hw + 1), np.result_type(grp_out, sel_out, g))
-    np.multiply(grp_out, g[:, 0:1], out=mix[:, :hw])
-    mix[:, :hw] += sel_out * g[:, 1:2]
+    n, hw = sel.shape
+    whole = n // block_len * block_len
+    mix = np.empty((n, hw + 1), np.result_type(grp, sel, g))
+    np.multiply(grp[: n // block_len, None], g[:whole, 0:1].reshape(-1, block_len, 1),
+                out=mix[:whole, :hw].reshape(-1, block_len, hw))
+    if whole < n:
+        np.multiply(grp[-1], g[whole:, 0:1], out=mix[whole:, :hw])
+    sel *= g[:, 1:2]
+    mix[:, :hw] += sel
     np.add(g[:, 0], g[:, 1], out=mix[:, hw])
     w_o = _w_o_with_bias(params.w_o)
-    out = mix @ w_o.weight.T
+    return mix @ w_o.weight.T, g, mix
+
+
+def gated_fuse_fwd(f, grp_out, sel_out, params: ZFormerParams):
+    """The gated fusion of head-space branch outputs given per token (see
+    ``_gated_fuse``), with the cache its backward reads."""
+    out, g, mix = _gated_fuse(f, grp_out, 1, sel_out.copy(), params)
     return out, {"f": f, "g": g, "grp": grp_out, "sel": sel_out, "mix": mix}
 
 
@@ -571,14 +614,17 @@ def zorder_pool_fwd(rep, codes: np.ndarray, levels: int, params: ZFormerParams,
     if np.any(codes[1:] < codes[:-1]):
         raise InputError("zorder_pool requires codes sorted ascending")
     starts, counts = _cluster_starts(keys)
-    mean_feat = segment_sum(rep.features, starts) / counts[:, None].astype(
-        rep.features.dtype
+    member_mean = cfg.position_mode == "member_mean"
+    # the sums become the means in place
+    mean_feat, colors, *positions = segment_sums(
+        [rep.features, rep.colors] + ([rep.positions] if member_mean else []), starts
     )
+    mean_feat /= counts[:, None].astype(mean_feat.dtype)
     pooled_feat = linear(mean_feat, params.pool_proj)
-    colors = segment_sum(rep.colors, starts) / counts[:, None]
+    colors /= counts[:, None]
     new_codes = keys[starts]
-    if cfg.position_mode == "member_mean":
-        positions = segment_sum(rep.positions, starts) / counts[:, None]
+    if member_mean:
+        positions = positions[0] / counts[:, None]
     else:
         coarse = quantizer.coarsen(levels) if levels else quantizer
         ijk = decode_array(new_codes, coarse.depth)
@@ -616,7 +662,8 @@ def zformer_block_fwd(rep, quantizer: Quantizer, params: ZFormerParams,
         rep_s, codes, perm = sort_by_code(rep, quantizer)
         f = rep_s.features
         qkv = linear(f, params.qkv())
-        grp_out, w_blocks, c_grp = group_attention_fwd(qkv, cfg)
+        grp_blocks, w_blocks, c_grp = group_attention_fwd(qkv, cfg)
+        grp_out = np.repeat(grp_blocks, c_grp["counts"], axis=0)
         sel_out, c_sel = topk_attention_fwd(qkv, w_blocks, cfg, selection)
         fused, c_fuse = gated_fuse_fwd(f, grp_out, sel_out, params)
         f_new = f + fused
@@ -633,18 +680,37 @@ def zformer_block(rep, quantizer, params, cfg):
     """Inference-only forward: no gradient caches, so the top-k branch can
     take its chunked path and memory stays proportional to n·k·L, not n².
 
+    Each n-row array is dropped once its last reader has run. Besides the
+    sorted points, whose features are n x model_width, the block holds at
+    once: the stacked projection ``qkv`` (n x 3·head) and the kernel's block
+    copies of it, only while they are copied; then the block copies and the
+    kernel's n x head output; then that output, overwritten with the gated
+    top-k term, the n x (head + 1) mix and the fused n x model_width
+    features, into which the residual is added in place. The group branch
+    stays one row per block, and the fused features replace the sorted ones
+    before pooling. None of this changes the arithmetic: the output, and so
+    every PLY byte, is bit-identical to ``group_attention``,
+    ``topk_attention``, ``gated_fuse`` and ``zorder_pool`` composed one at a
+    time.
+
     Extreme weights can overflow the block's arithmetic. The residual and
     the pooled features are checked for finiteness, so an overflow ends in
     ``InputError``; numpy's overflow warnings are silenced meanwhile."""
     with np.errstate(over="ignore", invalid="ignore"):
         rep_s, codes, _ = sort_by_code(rep, quantizer)
-        f = rep_s.features
-        qkv = linear(f, params.qkv())
-        grp_out, w_blocks, _ = group_attention_fwd(qkv, cfg)
-        sel_out = _topk_attention(qkv, w_blocks, cfg)
-        fused = gated_fuse(f, grp_out, sel_out, params)
-        rep_mid = rep_s.with_features(f + fused)
-        return zorder_pool(rep_mid, codes, cfg.pool_levels, params, quantizer, cfg)
+        n = len(rep_s)
+        qkv = linear(rep_s.features, params.qkv())
+        grp_blocks, w_blocks, _ = group_attention_fwd(qkv, cfg)
+        _, selection = _selection(n, w_blocks, cfg, None)
+        blocks = _topk_layout(*np.split(qkv, 3, axis=1), cfg)
+        del qkv, w_blocks
+        sel_out = _topk_chunks(*blocks, n, selection, cfg)
+        del blocks
+        fused = _gated_fuse(rep_s.features, grp_blocks, cfg.block_len, sel_out, params)[0]
+        del sel_out
+        fused += rep_s.features
+        rep_s = rep_s.with_features(fused)
+        return zorder_pool(rep_s, codes, cfg.pool_levels, params, quantizer, cfg)
 
 
 def zformer_block_bwd(g_features: np.ndarray, cache: dict, params: ZFormerParams):

@@ -140,6 +140,12 @@ def test_segment_sum_is_bit_equal_on_degenerate_layouts(layout, width, dtype):
     }[layout]
     starts = np.array(starts, dtype=np.int64)
     _assert_bit_equal(numerics.segment_sum(x, starts), _sequential_sums(x, starts))
+    # several arrays over one plan, as pooling sums features, colors and positions
+    other = np.repeat(x[:, :1], 3, axis=1).astype(np.float64) * 3.0
+    for got, y in zip(numerics.segment_sums([x, other], starts), (x, other)):
+        _assert_bit_equal(got, _sequential_sums(y, starts))
+    with pytest.raises(InputError):
+        numerics.segment_sums([x, other[1:]], starts)
 
 
 @given(_segmented_rows(), st.sampled_from(["unsorted", "repeated", "nonzero-first", "past-end"]))

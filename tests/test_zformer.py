@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gradutil import grads_to_vec, layer_to_vec, vec_to_layer
-from zsplat import reference, zformer
+from zsplat import reference, synthetic, zformer
 from zsplat.config import RunConfig
 from zsplat.errors import ConfigError, InputError, RangeError
 from zsplat.morton import Quantizer, sort_by_code
@@ -22,7 +22,7 @@ from zsplat.numerics import (
     uniform01,
 )
 from zsplat.pipeline import forward_scene, init_model, make_quantizer
-from zsplat.scene import PointRepresentation
+from zsplat.scene import PointRepresentation, assemble
 
 
 def _features(n, width, seed, dtype=np.float32):
@@ -551,6 +551,47 @@ def test_zformer_block_equals_public_wrapper_composition(n, n_heads, position_mo
     for name in ("positions", "features", "colors", "view_of"):
         got, ref = getattr(pooled, name), getattr(want, name)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+
+def test_zformer_block_working_set_is_bounded():
+    # the sparse-k benchmark's first level: one 128x128 sphere view (n=16384,
+    # width 96), cell 1/32, select_k 8, one head. Each n-row array is dropped
+    # after its last reader, so the block never holds 4 feature arrays' worth
+    # above its input (3.4 seen); keeping the stacked projection and n-row
+    # branch outputs alive to the end took 5.7
+    cfg = RunConfig(cell=0.03125, select_k=8)
+    rep = assemble(synthetic.generate_scene({"kind": "sphere", "resolution": [128, 128],
+                                             "n_views": 1}))
+    assert rep.features.shape == (16384, 96) and cfg.n_heads == 1
+    params = init_model(cfg).blocks[0]
+    quant = make_quantizer(rep.positions, cfg)
+    tracemalloc.start()
+    try:
+        zformer.zformer_block(rep, quant, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * rep.features.nbytes, (
+        f"block peak {peak / 2**20:.1f} MiB above a {rep.features.nbytes / 2**20:.1f} MiB "
+        f"feature array")
+
+
+def test_block_and_kernel_leave_their_inputs_untouched():
+    cfg = zformer.AttentionConfig(block_len=32, select_k=3, model_width=12, head_width=8,
+                                  n_heads=2, pool_levels=1)
+    params = _with_biases(_params(cfg))
+    rep = _rep(250, 12, seed=173, span=16.0)
+    before = [getattr(rep, name).copy() for name in ("positions", "features", "colors",
+                                                     "view_of")]
+    zformer.zformer_block(rep, Quantizer(np.zeros(3), 1.0, 5), params, cfg)
+    for name, was in zip(("positions", "features", "colors", "view_of"), before):
+        assert getattr(rep, name).tobytes() == was.tobytes(), name
+
+    cfg, q, k, v, selection = _topk_inputs(np.float32, 225, 2)
+    before = [x.copy() for x in (q, k, v)]
+    zformer._topk_chunked(q, k, v, selection, cfg)
+    for x, was in zip((q, k, v), before):
+        assert x.tobytes() == was.tobytes()
 
 
 def test_zformer_block_is_deterministic():
