@@ -67,12 +67,17 @@ class HeadParams:
     def feature_width(self) -> int:
         return self.hidden.in_width - 3
 
+    @staticmethod
+    def shapes(feature_width: int, hidden_width: int) -> dict:
+        """Each layer's weight shape, (out, in), by name."""
+        return {"hidden": (hidden_width, feature_width + 3),
+                "output": (RAW_WIDTH, hidden_width)}
+
     @classmethod
     def init(cls, feature_width: int, hidden_width: int, seed: int = 0):
-        return cls(
-            hidden=init_linear(feature_width + 3, hidden_width, derive_seed(seed, "head/hidden")),
-            output=init_linear(hidden_width, RAW_WIDTH, derive_seed(seed, "head/output")),
-        )
+        return cls(**{name: init_linear(n_in, n_out, derive_seed(seed, f"head/{name}"))
+                      for name, (n_out, n_in)
+                      in cls.shapes(feature_width, hidden_width).items()})
 
     def astype(self, dtype) -> "HeadParams":
         return HeadParams(self.hidden.astype(dtype), self.output.astype(dtype))

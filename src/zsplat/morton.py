@@ -172,14 +172,27 @@ class Quantizer:
         return self.origin + (coords + 0.5) * self.cell
 
 
-def sort_by_code(rep, quantizer: Quantizer):
-    """Order a point representation along the Z-curve.
+def z_order(rep, quantizer: Quantizer):
+    """The Z-curve order of a point representation, without moving its rows.
 
-    Returns (sorted representation, sorted uint64 codes, permutation). The
-    sort is stable: equal codes keep their input order.
+    Returns (sorted uint64 codes, permutation): row ``perm[i]`` of ``rep``
+    is the i-th point along the curve. The sort is stable: equal codes keep
+    their input order.
     """
     if len(rep) == 0:
         raise InputError("cannot serialize an empty point representation")
     codes = quantizer.encode_points(rep.positions)
     perm = np.argsort(codes, kind="stable")
-    return rep.take(perm), codes[perm], perm
+    return codes[perm], perm
+
+
+def sort_by_code(rep, quantizer: Quantizer):
+    """Order a point representation along the Z-curve: :func:`z_order`, then
+    every array of ``rep`` reindexed, features included.
+
+    Returns (sorted representation, sorted uint64 codes, permutation).
+    ``zformer_block`` keeps the order as the permutation instead and never
+    makes this sorted copy of the features.
+    """
+    codes, perm = z_order(rep, quantizer)
+    return rep.take(perm), codes, perm

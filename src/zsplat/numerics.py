@@ -261,10 +261,11 @@ def init_linear(n_in: int, n_out: int, seed: int) -> LinearLayer:
     return LinearLayer(weight, bias, seed)
 
 
-def linear(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
+def linear(x: np.ndarray, layer: LinearLayer, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ weight.T + bias, written into ``out`` when given."""
     if x.shape[-1] != layer.in_width:
         raise ShapeError(f"linear input width {x.shape[-1]} != layer width {layer.in_width}")
-    y = x @ layer.weight.T
+    y = np.matmul(x, layer.weight.T, out=out)
     y += layer.bias
     return y
 

@@ -53,14 +53,28 @@ class LevelOutput:
     offset_scale: float
 
 
-def init_model(cfg: RunConfig) -> ModelParams:
-    """Seeded blocks and head. Each block pools ``cfg.pool_levels`` levels off
-    the serialization depth, so the blocks must leave at least one."""
+def _layer_shapes(cfg: RunConfig) -> dict:
+    """Every layer's weight shape, (out, in), under its checkpoint name, as
+    the block and head initialisers draw them.
+
+    Each block pools ``cfg.pool_levels`` levels off the serialization depth,
+    so the blocks must leave at least one."""
     if cfg.n_blocks * cfg.pool_levels >= cfg.serialize_depth:
         raise ConfigError(
             f"{cfg.n_blocks} blocks of {cfg.pool_levels} pooling levels "
             f"exhaust serialize_depth {cfg.serialize_depth}"
         )
+    shapes = {f"block{i}/{name}": shape for i in range(cfg.n_blocks)
+              for name, shape in ZFormerParams.shapes(cfg).items()}
+    head = HeadParams.shapes(cfg.model_width, cfg.head_hidden)
+    shapes.update({f"head/{name}": shape for name, shape in head.items()})
+    return shapes
+
+
+def init_model(cfg: RunConfig) -> ModelParams:
+    """Seeded blocks and head; the blocks' pooling must leave at least one
+    level of the serialization depth (see ``_layer_shapes``)."""
+    _layer_shapes(cfg)  # raises ConfigError when they do not
     blocks = tuple(
         ZFormerParams.init(cfg, derive_seed(cfg.seed, f"block{i}"))
         for i in range(cfg.n_blocks)
@@ -174,8 +188,9 @@ def _read_layer(path, entry, name: str) -> LinearLayer:
 
 
 def load_checkpoint(path, cfg: RunConfig) -> ModelParams:
-    """Load and check a checkpoint against the config's expected shapes."""
-    expected = _named_layers(init_model(cfg))
+    """Load and check a checkpoint against the config's expected shapes; no
+    weight is drawn to find them."""
+    expected = _layer_shapes(cfg)
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.exists(manifest_path):
         raise CheckpointError(f"no manifest.json under {path}")
@@ -189,12 +204,12 @@ def load_checkpoint(path, cfg: RunConfig) -> ModelParams:
             f"checkpoint does not match config: missing {missing}, unexpected {extra}"
         )
     loaded = {}
-    for name, reference_layer in expected.items():
+    for name, shape in expected.items():
         layer = _read_layer(path, entries[name], name)
-        if layer.weight.shape != reference_layer.weight.shape:
+        if layer.weight.shape != shape:
             raise CheckpointError(
                 f"{name}: weight shape {layer.weight.shape} != expected "
-                f"{reference_layer.weight.shape} for this config"
+                f"{shape} for this config"
             )
         loaded[name] = layer
     blocks = tuple(

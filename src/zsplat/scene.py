@@ -272,8 +272,8 @@ class PointRepresentation:
     The constructor checks all four arrays, and every point set computed
     anew, pooled points included, goes through it. ``take`` and
     ``with_features`` build on rows of a representation that is already
-    checked: ``take`` checks nothing again, ``with_features`` only the new
-    features.
+    checked: each checks only the new features it is given, ``take`` none
+    unless given them.
     """
 
     positions: np.ndarray
@@ -317,19 +317,25 @@ class PointRepresentation:
     def feature_width(self) -> int:
         return self.features.shape[1]
 
-    def take(self, index: np.ndarray) -> "PointRepresentation":
+    def take(self, index: np.ndarray,
+             features: np.ndarray | None = None) -> "PointRepresentation":
         """Reindex every array with the same permutation / selection, a 1-D
         array of indices or a boolean mask. The rows come from checked arrays,
-        so nothing is checked again."""
+        so nothing is checked again.
+
+        ``features``, when given, are new features already in the reindexed
+        order: they replace the reindexed ones, which are then never copied,
+        and only they are checked, as in ``with_features``."""
         index = np.asarray(index)
         if index.ndim != 1:
             raise InputError(f"take needs a 1-D index, got shape {index.shape}")
-        return self._unchecked(
-            self.positions[index],
-            self.features[index],
-            self.colors[index],
-            self.view_of[index],
-        )
+        positions = self.positions[index]
+        if features is None:
+            features = self.features[index]
+        else:
+            features = _checked_features(features, len(positions))
+        return self._unchecked(positions, features, self.colors[index],
+                               self.view_of[index])
 
     def with_features(self, features: np.ndarray) -> "PointRepresentation":
         """The same points with new ``features``; only they are checked."""

@@ -1,6 +1,6 @@
 """Z-order transformer block: serialization-sorted attention and pooling.
 
-A block runs on features sorted along the Z-curve (``morton.sort_by_code``):
+A block runs on features in Z-curve order (``morton.z_order``):
 
 1. group attention — queries/keys/values (one projection, shared with top-k)
    are mean-pooled over contiguous blocks of ``block_len`` tokens, each mean a
@@ -23,11 +23,16 @@ A block runs on features sorted along the Z-curve (``morton.sort_by_code``):
    colors, cell-center positions); a cell's members are a contiguous run of
    the Z-sorted rows, so each mean is a segment sum over those rows.
 
-The inference block, ``zformer_block``, drops each n-row array once its last
-reader has run: the stacked ``qkv`` once the kernel has copied it into its
-block arrays, those once the kernel has run, and the sorted features once the
-fused ones replace them. The schedule changes no arithmetic, so its output
-(and every PLY byte) equals the public wrappers composed one at a time.
+The inference block, ``zformer_block``, keeps the Z-order as a permutation
+(``morton.z_order``) and never copies the input features in sorted order: the
+stacked Q/K/V and gate products run over fixed row tiles of the sorted
+sequence, each tile gathered once through the permutation for both, and the
+residual is added tile by tile, gathered the same way. It drops each n-row array once
+its last reader has run: the stacked ``qkv`` once the kernel has copied it
+into its block arrays, and those once the kernel has run. The public wrappers
+multiply the same tiles of already-sorted features, so the block's output
+(and every PLY byte) equals ``sort_by_code`` and the wrappers composed one at
+a time.
 
 Each op has a ``*_fwd`` variant returning a cache and a matching ``*_bwd``
 computing exact gradients by hand; the top-k block selection is treated as
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, RangeError
-from .morton import Quantizer, decode_array, shift_array, sort_by_code
+from .morton import Quantizer, decode_array, shift_array, sort_by_code, z_order
 from .numerics import (
     LinearLayer,
     derive_seed,
@@ -63,6 +68,11 @@ from .scene import check_fields, integer, one_of
 # one core's 2 MB L2, so a chunk's tiles stay in cache from the gather through
 # both products and the softmax (see _topk_chunked)
 _CHUNK_BYTES = 2**20
+
+# rows per tile of the Z-sorted sequence in a block's input products, the
+# stacked Q/K/V and the gate (see _tiled_linear): a 4096 x 96 float32 tile is
+# 1.5 MiB, a quarter of sparse-k's first-level feature array
+_TILE_ROWS = 4096
 
 # a top-k call's softmax skips the row max when its score bound plus ln(keys)
 # plus ln(max(1, max|v|)) is below this (see _scores_are_bounded): float32 exp
@@ -124,17 +134,17 @@ class ZFormerParams:
 
     NAMES = ("w_q", "w_k", "w_v", "w_o", "gate", "pool_proj")
 
+    @staticmethod
+    def shapes(cfg: AttentionConfig) -> dict:
+        """Each layer's weight shape, (out, in), by name in ``NAMES`` order."""
+        mw, hw = cfg.model_width, cfg.head_width
+        return {"w_q": (hw, mw), "w_k": (hw, mw), "w_v": (hw, mw), "w_o": (mw, hw),
+                "gate": (2, mw), "pool_proj": (mw, mw)}
+
     @classmethod
     def init(cls, cfg: AttentionConfig, seed: int) -> "ZFormerParams":
-        mw, hw = cfg.model_width, cfg.head_width
-        return cls(
-            w_q=init_linear(mw, hw, derive_seed(seed, "w_q")),
-            w_k=init_linear(mw, hw, derive_seed(seed, "w_k")),
-            w_v=init_linear(mw, hw, derive_seed(seed, "w_v")),
-            w_o=init_linear(hw, mw, derive_seed(seed, "w_o")),
-            gate=init_linear(mw, 2, derive_seed(seed, "gate")),
-            pool_proj=init_linear(mw, mw, derive_seed(seed, "pool_proj")),
-        )
+        return cls(**{name: init_linear(n_in, n_out, derive_seed(seed, name))
+                      for name, (n_out, n_in) in cls.shapes(cfg).items()})
 
     def astype(self, dtype) -> "ZFormerParams":
         return ZFormerParams(*(getattr(self, n).astype(dtype) for n in self.NAMES))
@@ -198,6 +208,27 @@ def _unpool(g_blocks: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(g_blocks / counts[:, None], counts, axis=0)
 
 
+def _tiled_linear(f: np.ndarray, layers, perm: np.ndarray | None = None) -> list:
+    """Each layer's ``linear`` of the rows ``f[perm]`` (of ``f`` when ``perm``
+    is None), computed over tiles of ``_TILE_ROWS`` consecutive rows.
+
+    Each tile of ``f[perm]`` is gathered once and feeds every layer's
+    product, so ``f[perm]`` never exists whole. A matrix product's row can
+    round differently at another position in the product, so the block and
+    the public wrappers go through the same tiles: a gathered tile of
+    unsorted features and the same rows of the sorted ones give the same
+    bytes. Up to one tile, this is one ``linear`` per layer."""
+    n = len(f) if perm is None else len(perm)
+    outs = [np.empty((n, layer.out_width), np.result_type(f, layer.weight))
+            for layer in layers]
+    for i in range(0, n, _TILE_ROWS):
+        rows = slice(i, i + _TILE_ROWS)
+        tile = f[rows] if perm is None else f[perm[rows]]
+        for out, layer in zip(outs, layers):
+            linear(tile, layer, out=out[rows])
+    return outs
+
+
 def _head_slices(cfg: AttentionConfig):
     """Per-head column slices and the score scale 1/sqrt(head width), a python
     float so float32 inputs stay float32."""
@@ -239,7 +270,7 @@ def group_attention_fwd(qkv: np.ndarray, cfg: AttentionConfig):
 
 def group_attention(f: np.ndarray, params: ZFormerParams, cfg: AttentionConfig):
     """Group branch of the Z-sorted features ``f``: (out n x head, w_blocks)."""
-    block_out, w_blocks, cache = group_attention_fwd(linear(f, params.qkv()), cfg)
+    block_out, w_blocks, cache = group_attention_fwd(_tiled_linear(f, [params.qkv()])[0], cfg)
     return np.repeat(block_out, cache["counts"], axis=0), w_blocks
 
 
@@ -498,7 +529,7 @@ def topk_attention(
     only; peak intermediate size is O(n * k * block_len / B), never n x n.
     Pass ``selection`` to pin the block choice (gradient checks freeze it);
     otherwise it is derived from ``w_blocks``."""
-    return _topk_attention(linear(f, params.qkv()), w_blocks, cfg, selection)
+    return _topk_attention(_tiled_linear(f, [params.qkv()])[0], w_blocks, cfg, selection)
 
 
 def topk_attention_bwd(g_tok: np.ndarray, cache: dict) -> np.ndarray:
@@ -531,17 +562,17 @@ def _w_o_with_bias(w_o: LinearLayer) -> LinearLayer:
     return LinearLayer(weight, np.zeros_like(w_o.bias), w_o.seed)
 
 
-def _gated_fuse(f, grp, block_len, sel, params: ZFormerParams):
+def _gated_fuse(z, grp, block_len, sel, params: ZFormerParams):
     """Per-token sigmoid gates mix the head-space branch outputs, and ``w_o``
     projects the mix once: out = w_o(g0·group + g1·selected) with bias
     (g0 + g1)·b, which is g0·w_o(group) + g1·w_o(selected). The mix carries
     g0 + g1 as a last column, so the bias is part of the one product.
 
+    ``z`` holds the gate layer's logits of the Z-sorted features, n x 2.
     ``grp`` holds one row per block of ``block_len`` consecutive tokens, the
     last block possibly short: the group branch's block outputs, or one row
     per token with ``block_len`` 1. ``sel`` (n x head) is overwritten with
     g1·sel. Returns (out, gates, mix)."""
-    z = linear(f, params.gate)
     if z.shape[1] != 2:
         raise InputError(f"gate layer must output 2 values, got {z.shape[1]}")
     g = sigmoid(z)
@@ -562,7 +593,8 @@ def _gated_fuse(f, grp, block_len, sel, params: ZFormerParams):
 def gated_fuse_fwd(f, grp_out, sel_out, params: ZFormerParams):
     """The gated fusion of head-space branch outputs given per token (see
     ``_gated_fuse``), with the cache its backward reads."""
-    out, g, mix = _gated_fuse(f, grp_out, 1, sel_out.copy(), params)
+    z = _tiled_linear(f, [params.gate])[0]
+    out, g, mix = _gated_fuse(z, grp_out, 1, sel_out.copy(), params)
     return out, {"f": f, "g": g, "grp": grp_out, "sel": sel_out, "mix": mix}
 
 
@@ -680,36 +712,44 @@ def zformer_block(rep, quantizer, params, cfg):
     """Inference-only forward: no gradient caches, so the top-k branch can
     take its chunked path and memory stays proportional to n·k·L, not n².
 
+    The Z-order stays a permutation: the input features are never copied
+    whole in sorted order. The stacked Q/K/V product and the gate product
+    run over tiles of ``_TILE_ROWS`` rows of the sorted sequence, each tile
+    gathered once through the permutation for both, and the residual is
+    added to the fused output tile by tile, gathered the same way. Only
+    positions, colors and view ids are reindexed whole, and the fused
+    features become the sorted points' features.
+
     Each n-row array is dropped once its last reader has run. Besides the
-    sorted points, whose features are n x model_width, the block holds at
-    once: the stacked projection ``qkv`` (n x 3·head) and the kernel's block
-    copies of it, only while they are copied; then the block copies and the
-    kernel's n x head output; then that output, overwritten with the gated
-    top-k term, the n x (head + 1) mix and the fused n x model_width
-    features, into which the residual is added in place. The group branch
-    stays one row per block, and the fused features replace the sorted ones
-    before pooling. None of this changes the arithmetic: the output, and so
-    every PLY byte, is bit-identical to ``group_attention``,
-    ``topk_attention``, ``gated_fuse`` and ``zorder_pool`` composed one at a
-    time.
+    n x 2 gate logits, the block holds at once: the stacked projection
+    ``qkv`` (n x 3·head) and the kernel's block copies of it, only while
+    they are copied; then the block copies and the kernel's n x head output;
+    then that output, overwritten with the gated top-k term, the
+    n x (head + 1) mix and the fused n x model_width features. The group
+    branch stays one row per block. None of this changes the arithmetic: the
+    output, and so every PLY byte, is bit-identical to ``sort_by_code``,
+    ``group_attention``, ``topk_attention``, ``gated_fuse`` and
+    ``zorder_pool`` composed one at a time.
 
     Extreme weights can overflow the block's arithmetic. The residual and
     the pooled features are checked for finiteness, so an overflow ends in
     ``InputError``; numpy's overflow warnings are silenced meanwhile."""
     with np.errstate(over="ignore", invalid="ignore"):
-        rep_s, codes, _ = sort_by_code(rep, quantizer)
-        n = len(rep_s)
-        qkv = linear(rep_s.features, params.qkv())
+        codes, perm = z_order(rep, quantizer)
+        n = len(perm)
+        qkv, z = _tiled_linear(rep.features, [params.qkv(), params.gate], perm)
         grp_blocks, w_blocks, _ = group_attention_fwd(qkv, cfg)
         _, selection = _selection(n, w_blocks, cfg, None)
         blocks = _topk_layout(*np.split(qkv, 3, axis=1), cfg)
         del qkv, w_blocks
         sel_out = _topk_chunks(*blocks, n, selection, cfg)
         del blocks
-        fused = _gated_fuse(rep_s.features, grp_blocks, cfg.block_len, sel_out, params)[0]
-        del sel_out
-        fused += rep_s.features
-        rep_s = rep_s.with_features(fused)
+        fused = _gated_fuse(z, grp_blocks, cfg.block_len, sel_out, params)[0]
+        del sel_out, z
+        for i in range(0, n, _TILE_ROWS):
+            rows = slice(i, i + _TILE_ROWS)
+            fused[rows] += rep.features[perm[rows]]
+        rep_s = rep.take(perm, features=fused)
         return zorder_pool(rep_s, codes, cfg.pool_levels, params, quantizer, cfg)
 
 

@@ -227,6 +227,29 @@ def test_init_checkpoint_reports_the_layers_it_saved(tmp_path, capsys):
     assert f"initialized {len(saved)} layers" in capsys.readouterr().out
 
 
+def test_load_checkpoint_draws_no_weights(tmp_path, monkeypatch):
+    # the expected layer shapes come from the table the initialisers read,
+    # not from a model whose every weight is drawn only to be measured
+    from zsplat import numerics
+    from zsplat.config import RunConfig
+    from zsplat.pipeline import init_model, load_checkpoint, save_checkpoint
+
+    cfg = RunConfig(**SMALL_CFG, n_blocks=2)
+    saved = init_model(cfg)
+    save_checkpoint(saved, tmp_path / "ckpt")
+
+    def refuse(seed, count):
+        raise AssertionError("load_checkpoint drew weights")
+
+    monkeypatch.setattr(numerics, "uniform01", refuse)
+    loaded = load_checkpoint(tmp_path / "ckpt", cfg)
+    for want, got in zip(saved.blocks + (saved.head,), loaded.blocks + (loaded.head,)):
+        for name, layer in vars(want).items():
+            assert np.array_equal(getattr(got, name).weight, layer.weight), name
+    with pytest.raises(AssertionError, match="drew weights"):
+        init_model(cfg)
+
+
 def test_checkpoint_mismatch_exits_4(tmp_path):
     scene = _gen(tmp_path)
     cfg = _write_cfg(tmp_path / "cfg.json")
