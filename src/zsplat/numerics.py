@@ -6,10 +6,10 @@ everywhere: a product accumulates in its operands' dtype. Inference runs in
 float32 (linear layers, attention scores and values, activations); callers
 that pass float64 operands, the reference implementations and the gradient
 oracles, get float64 end to end. Constants are python floats, which take the
-array's dtype instead of promoting it. ``segment_sum``, the reduction
+array's dtype instead of promoting it. ``segment_sums``, the reduction
 over contiguous runs of rows of any length (the Z-order cluster means of
 pooling), follows the same rule: it adds each segment's rows in row order
-in ``x``'s dtype, so float32 rows are summed in float32. Runs of a fixed
+in the rows' dtype, so float32 rows are summed in float32. Runs of a fixed
 length (block means and the group branch's gradient) are summed by
 ``zformer._block_sums`` under the same rule, in row order on rows wider
 than one column.
@@ -91,17 +91,10 @@ def softmax_rows_backward(grad: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return probs * (grad - inner)
 
 
-def segment_sum(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sums of the contiguous row segments of ``x`` that begin at ``starts``:
-    row i of the result is ``x[starts[i]:starts[i+1]].sum(0)``, the last
-    segment running to the end, in ``x``'s dtype. See ``segment_sums``."""
-    return segment_sums([x], starts)[0]
-
-
 def segment_sums(arrays, starts: np.ndarray) -> list:
-    """``segment_sum`` of each of ``arrays``, which share their row count,
-    over one ``starts``: the starts are checked and the step plan is built
-    once for all of them.
+    """Per array ``x`` of ``arrays`` (one row count), row i of the result is
+    ``x[starts[i]:starts[i+1]].sum(0)`` in ``x``'s dtype, the last segment
+    running to the end. The starts are checked and the plan built once.
 
     Each segment's rows are added in row order onto a zero, so the result is
     bit-equal to a per-segment loop ``acc = 0; acc += row``. Segments of at

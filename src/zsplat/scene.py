@@ -272,8 +272,8 @@ class PointRepresentation:
     The constructor checks all four arrays, and every point set computed
     anew, pooled points included, goes through it. ``take`` and
     ``with_features`` build on rows of a representation that is already
-    checked: each checks only the new features it is given, ``take`` none
-    unless given them.
+    checked: ``take`` checks nothing, ``with_features`` only the new features
+    it is given.
     """
 
     positions: np.ndarray
@@ -305,7 +305,8 @@ class PointRepresentation:
 
     @classmethod
     def _unchecked(cls, positions, features, colors, view_of) -> "PointRepresentation":
-        """An instance over arrays already in checked form."""
+        """An instance over arrays already in checked form, or over features
+        whose one reader's output is checked (the inference block's)."""
         rep = cls.__new__(cls)
         rep._set(positions, features, colors, view_of)
         return rep
@@ -317,25 +318,15 @@ class PointRepresentation:
     def feature_width(self) -> int:
         return self.features.shape[1]
 
-    def take(self, index: np.ndarray,
-             features: np.ndarray | None = None) -> "PointRepresentation":
+    def take(self, index: np.ndarray) -> "PointRepresentation":
         """Reindex every array with the same permutation / selection, a 1-D
         array of indices or a boolean mask. The rows come from checked arrays,
-        so nothing is checked again.
-
-        ``features``, when given, are new features already in the reindexed
-        order: they replace the reindexed ones, which are then never copied,
-        and only they are checked, as in ``with_features``."""
+        so nothing is checked again."""
         index = np.asarray(index)
         if index.ndim != 1:
             raise InputError(f"take needs a 1-D index, got shape {index.shape}")
-        positions = self.positions[index]
-        if features is None:
-            features = self.features[index]
-        else:
-            features = _checked_features(features, len(positions))
-        return self._unchecked(positions, features, self.colors[index],
-                               self.view_of[index])
+        return self._unchecked(self.positions[index], self.features[index],
+                               self.colors[index], self.view_of[index])
 
     def with_features(self, features: np.ndarray) -> "PointRepresentation":
         """The same points with new ``features``; only they are checked."""

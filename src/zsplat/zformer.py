@@ -30,9 +30,10 @@ sequence, each tile gathered once through the permutation for both, and the
 residual is added tile by tile, gathered the same way. It drops each n-row array once
 its last reader has run: the stacked ``qkv`` once the kernel has copied it
 into its block arrays, and those once the kernel has run. The public wrappers
-multiply the same tiles of already-sorted features, so the block's output
+multiply the same tiles of already-sorted features, and ``topk_attention``
+runs the block's own projection, layout and chunk loop, so the block's output
 (and every PLY byte) equals ``sort_by_code`` and the wrappers composed one at
-a time.
+a time. It checks its features once, in the pooled points.
 
 Each op has a ``*_fwd`` variant returning a cache and a matching ``*_bwd``
 computing exact gradients by hand; the top-k block selection is treated as
@@ -66,7 +67,8 @@ from .scene import check_fields, integer, one_of
 
 # bytes of gathered keys, values and scores per top-k chunk: about half of
 # one core's 2 MB L2, so a chunk's tiles stay in cache from the gather through
-# both products and the softmax (see _topk_chunked)
+# both products and the softmax, unless one query block, a chunk's floor,
+# gathers more alone (~29 MB at k=1024, width 96; see _topk_chunks)
 _CHUNK_BYTES = 2**20
 
 # rows per tile of the Z-sorted sequence in a block's input products, the
@@ -181,8 +183,8 @@ def _block_sums(x: np.ndarray, block_len: int) -> np.ndarray:
     possibly short, in ``x``'s dtype.
 
     The whole blocks are one reduction down the middle axis of an
-    (blocks, block_len, width) view, which numpy adds row by row from +0.0,
-    as ``segment_sum`` does (a one-column ``x`` is summed pairwise instead)."""
+    (blocks, block_len, width) view, which numpy adds row by row from +0.0, as
+    ``numerics.segment_sums`` does (a one-column ``x`` is summed pairwise)."""
     n, width = x.shape
     m = n // block_len
     sums = np.empty((-(-n // block_len), width), x.dtype)
@@ -391,17 +393,6 @@ def _scores_are_bounded(q, k, v, n_heads: int, keys: int) -> bool:
     return score_bound + math.log(keys) + math.log(v_max) < _EXP_BOUND
 
 
-def _topk_chunked(q, k, v, selection, cfg):
-    """Inference kernel: query blocks are batched in chunks whose gathered
-    keys, values and scores fit in ``_CHUNK_BYTES``, about one core's L2.
-
-    ``_topk_layout`` copies q, k and v into contiguous block arrays and
-    ``_topk_chunks`` runs the chunk loop over them; a caller that holds
-    nothing else of q, k and v can release them between the two. Neither
-    step writes to an array it is given."""
-    return _topk_chunks(*_topk_layout(q, k, v, cfg), len(q), selection, cfg)
-
-
 def _topk_layout(q, k, v, cfg):
     """The kernel's block arrays of ``n`` tokens: (q_blocks, k_blocks,
     v_blocks), each (n_blocks, block_len, ·), zero-padded to whole blocks.
@@ -409,7 +400,9 @@ def _topk_layout(q, k, v, cfg):
     q, k and v arrive as strided column views of the stacked projection; they
     are copied once, so every gathered key/value block is one contiguous run,
     and q is scaled once. v is copied into per-head blocks that each end in a
-    ones column, ``[v_0 | 1 | v_1 | 1 …]``."""
+    ones column, ``[v_0 | 1 | v_1 | 1 …]``. A caller that holds nothing else
+    of q, k and v can release them before ``_topk_chunks`` runs; neither step
+    writes to an array it is given."""
     n, width = q.shape
     block_len = cfg.block_len
     n_blocks = -(-n // block_len)
@@ -446,10 +439,12 @@ def _topk_chunks(q_blocks, k_blocks, v_blocks, n, selection, cfg):
     agree with the per-block loop within 5e-6 in float32 and 1e-12 in float64,
     not bit for bit; the same input always gives the same bytes.
 
-    The gather/score buffers are allocated once and reused for every chunk,
-    and each chunk's products are written straight into the output. A chunk
-    sized to the cache keeps the gathered tiles in L2 from the gather through
-    the two products, instead of streaming every pass through memory."""
+    Query blocks run in chunks whose gathered keys, values and scores fit in
+    ``_CHUNK_BYTES``, so they stay in L2 from the gather through the two
+    products; the buffers are allocated once and reused, and each chunk's
+    products are written straight into the output. A chunk holds at least
+    one query block, whose k·L·(2·width + block_len) values can alone exceed
+    the budget: ~29 MB at block_len 32, k=1024 and width 96."""
     n_blocks, block_len, width = q_blocks.shape
     pad = n_blocks * block_len - n
     slices = _head_slices(cfg)[0]
@@ -512,11 +507,6 @@ def topk_attention_fwd(
     return tok_out, cache
 
 
-def _topk_attention(qkv, w_blocks, cfg, selection=None) -> np.ndarray:
-    _, selection = _selection(qkv.shape[0], w_blocks, cfg, selection)
-    return _topk_chunked(*np.split(qkv, 3, axis=1), selection, cfg)
-
-
 def topk_attention(
     f: np.ndarray,
     w_blocks: np.ndarray,
@@ -528,8 +518,13 @@ def topk_attention(
     Each query block attends to the raw keys/values of its selected blocks
     only; peak intermediate size is O(n * k * block_len / B), never n x n.
     Pass ``selection`` to pin the block choice (gradient checks freeze it);
-    otherwise it is derived from ``w_blocks``."""
-    return _topk_attention(_tiled_linear(f, [params.qkv()])[0], w_blocks, cfg, selection)
+    otherwise it is derived from ``w_blocks``. It makes ``zformer_block``'s
+    calls in its order, dropping the projection once the kernel has copied it."""
+    qkv = _tiled_linear(f, [params.qkv()])[0]
+    _, selection = _selection(len(f), w_blocks, cfg, selection)
+    blocks = _topk_layout(*np.split(qkv, 3, axis=1), cfg)
+    del qkv
+    return _topk_chunks(*blocks, len(f), selection, cfg)
 
 
 def topk_attention_bwd(g_tok: np.ndarray, cache: dict) -> np.ndarray:
@@ -718,7 +713,7 @@ def zformer_block(rep, quantizer, params, cfg):
     gathered once through the permutation for both, and the residual is
     added to the fused output tile by tile, gathered the same way. Only
     positions, colors and view ids are reindexed whole, and the fused
-    features become the sorted points' features.
+    features become the sorted points' features unchecked.
 
     Each n-row array is dropped once its last reader has run. Besides the
     n x 2 gate logits, the block holds at once: the stacked projection
@@ -731,9 +726,10 @@ def zformer_block(rep, quantizer, params, cfg):
     ``group_attention``, ``topk_attention``, ``gated_fuse`` and
     ``zorder_pool`` composed one at a time.
 
-    Extreme weights can overflow the block's arithmetic. The residual and
-    the pooled features are checked for finiteness, so an overflow ends in
-    ``InputError``; numpy's overflow warnings are silenced meanwhile."""
+    Extreme weights can overflow the block's arithmetic. The pooled features
+    are checked for finiteness, so an overflow ends in ``InputError``; numpy's
+    overflow warnings are silenced meanwhile. A non-finite residual row stays
+    so through its segment mean and ``pool_proj`` (inf·0 is NaN)."""
     with np.errstate(over="ignore", invalid="ignore"):
         codes, perm = z_order(rep, quantizer)
         n = len(perm)
@@ -749,7 +745,8 @@ def zformer_block(rep, quantizer, params, cfg):
         for i in range(0, n, _TILE_ROWS):
             rows = slice(i, i + _TILE_ROWS)
             fused[rows] += rep.features[perm[rows]]
-        rep_s = rep.take(perm, features=fused)
+        rep_s = type(rep)._unchecked(rep.positions[perm], fused, rep.colors[perm],
+                                     rep.view_of[perm])
         return zorder_pool(rep_s, codes, cfg.pool_levels, params, quantizer, cfg)
 
 

@@ -91,7 +91,7 @@ def _segmented_rows(draw):
 @settings(max_examples=150, deadline=None)
 def test_segment_sum_matches_float64_loop(case):
     x, starts = case
-    got = numerics.segment_sum(x, starts)
+    got = numerics.segment_sums([x], starts)[0]
     assert got.dtype == x.dtype
     ends = list(starts[1:]) + [len(x)]
     want = np.stack([x[a:b].astype(np.float64).sum(0) for a, b in zip(starts, ends)])
@@ -121,7 +121,7 @@ def _assert_bit_equal(got, want):
 @settings(max_examples=150, deadline=None)
 def test_segment_sum_is_bit_equal_to_sequential_loop(case):
     x, starts = case
-    _assert_bit_equal(numerics.segment_sum(x, starts), _sequential_sums(x, starts))
+    _assert_bit_equal(numerics.segment_sums([x], starts)[0], _sequential_sums(x, starts))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -139,7 +139,7 @@ def test_segment_sum_is_bit_equal_on_degenerate_layouts(layout, width, dtype):
         "mixed": [0, 1, 2, 3 + cut, 4 + cut, 5 + 3 * cut, 6 + 3 * cut],
     }[layout]
     starts = np.array(starts, dtype=np.int64)
-    _assert_bit_equal(numerics.segment_sum(x, starts), _sequential_sums(x, starts))
+    _assert_bit_equal(numerics.segment_sums([x], starts)[0], _sequential_sums(x, starts))
     # several arrays over one plan, as pooling sums features, colors and positions
     other = np.repeat(x[:, :1], 3, axis=1).astype(np.float64) * 3.0
     for got, y in zip(numerics.segment_sums([x, other], starts), (x, other)):
@@ -162,7 +162,7 @@ def test_segment_sum_rejects_starts_that_leave_a_segment_empty(case, fault):
     else:
         bad = np.r_[starts, n + (starts[-1] % 3)]
     with pytest.raises(InputError):
-        numerics.segment_sum(x, bad)
+        numerics.segment_sums([x], bad)
 
 
 def test_linear_width_error_names_both_widths():

@@ -219,12 +219,6 @@ def test_point_representation_take_and_validation():
     for bad in (nan, rep.features[:-1], rep.features[:, 0]):
         with pytest.raises(InputError):
             rep.with_features(bad)
-        with pytest.raises(InputError):
-            rep.take(perm, features=bad)
-    given = rep.take(perm, features=rep.features)
-    assert given.features is rep.features
-    assert np.array_equal(given.colors, back.colors)
-    assert np.array_equal(given.view_of, back.view_of)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from zsplat.numerics import (
     grad_check,
     linear,
     linear_backward,
-    segment_sum,
+    segment_sums,
     uniform01,
 )
 from zsplat.pipeline import forward_scene, init_model, make_quantizer
@@ -147,7 +147,7 @@ def _assert_kernel_matches_loop(cfg, q, k, v, selection, tol, bounded):
     keys = selection.shape[1] * cfg.block_len
     assert zformer._scores_are_bounded(q * scale, k, v, cfg.n_heads, keys) is bounded
     n = len(q)
-    chunked = zformer._topk_chunked(q, k, v, selection, cfg)
+    chunked = zformer._topk_chunks(*zformer._topk_layout(q, k, v, cfg), len(q), selection, cfg)
     counts = zformer._block_counts(n, cfg.block_len)
     loop, _ = zformer._topk_loop_fwd(q, k, v, selection, counts, cfg)
     assert chunked.shape == loop.shape == (n, cfg.head_width)
@@ -244,11 +244,35 @@ def test_topk_chunked_working_set_is_cache_sized():
     assert zformer._scores_are_bounded(q * scale, k, v, 1, 64 * 32)
     tracemalloc.start()
     try:
-        zformer._topk_chunked(q, k, v, selection, cfg)
+        zformer._topk_chunks(*zformer._topk_layout(q, k, v, cfg), len(q), selection, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16e6, f"top-k kernel peak allocation {peak / 1e6:.1f} MB"
+
+
+def test_topk_attention_releases_its_projection_before_the_chunk_loop():
+    # the sparse-k benchmark's first level: n=16384, width 96, head width 32,
+    # select_k 8. The wrapper drops the stacked projection once the kernel has
+    # copied it, so the projection, its block copies and the chunk loop's
+    # output never coexist; holding the projection through the loop took the
+    # peak to 2.53 times the input features
+    n = 16384
+    cfg = zformer.AttentionConfig(select_k=8)
+    assert (cfg.model_width, cfg.head_width, cfg.n_heads) == (96, 32, 1)
+    params = _params(cfg)
+    f = _features(n, cfg.model_width, seed=69)
+    _, w_blocks = zformer.group_attention(f, params, cfg)
+    tracemalloc.start()
+    try:
+        out = zformer.topk_attention(f, w_blocks, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, cfg.head_width)
+    assert peak < 2.25 * f.nbytes, (
+        f"topk_attention peak {peak / 2**20:.1f} MiB above a {f.nbytes / 2**20:.1f} MiB "
+        f"feature array")
 
 
 def test_segment_sum_working_set_stays_small():
@@ -259,7 +283,7 @@ def test_segment_sum_working_set_stays_small():
     starts = np.flatnonzero(np.r_[True, uniform01(68, n - 1) < 3300 / n])
     tracemalloc.start()
     try:
-        sums = segment_sum(x, starts)
+        sums = segment_sums([x], starts)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -595,7 +619,7 @@ def test_block_and_kernel_leave_their_inputs_untouched():
 
     cfg, q, k, v, selection = _topk_inputs(np.float32, 225, 2)
     before = [x.copy() for x in (q, k, v)]
-    zformer._topk_chunked(q, k, v, selection, cfg)
+    zformer._topk_chunks(*zformer._topk_layout(q, k, v, cfg), len(q), selection, cfg)
     for x, was in zip((q, k, v), before):
         assert x.tobytes() == was.tobytes()
 
@@ -762,6 +786,35 @@ def test_overflowing_pool_projection_ends_in_input_error():
         forward_scene(rep, cfg, model)
     with pytest.raises(InputError, match="non-finite"):
         zformer.zformer_block_fwd(rep, make_quantizer(rep.positions, cfg), model.blocks[0], cfg)
+
+
+def test_overflowing_residual_ends_in_input_error():
+    # a huge w_o on the first block, with features ten times the usual size,
+    # makes the residual f + fused non-finite; such a row stays non-finite
+    # through its segment mean and pool_proj, so the pooled check ends the
+    # request in InputError, with numpy's overflow warnings silent, in the
+    # request and in the inference block alike
+    cfg = RunConfig(seed=3, cell=0.5)
+    acfg = cfg.attention_config()
+    model = init_model(cfg)
+    w_o = model.blocks[0].w_o
+    huge = LinearLayer(np.full_like(w_o.weight, 1e38), w_o.bias, w_o.seed)
+    params = dc_replace(model.blocks[0], w_o=huge)
+    model = dc_replace(model, blocks=(params, *model.blocks[1:]))
+    rep = _rep(300, acfg.model_width, seed=181)
+    rep = rep.with_features(rep.features * 10.0)
+    quant = make_quantizer(rep.positions, cfg)
+    f = sort_by_code(rep, quant)[0].features
+    with np.errstate(over="ignore", invalid="ignore"):
+        grp, w_blocks = zformer.group_attention(f, params, acfg)
+        sel = zformer.topk_attention(f, w_blocks, params, acfg)
+        assert not np.isfinite(f + zformer.gated_fuse(f, grp, sel, params)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="non-finite"):
+            forward_scene(rep, cfg, model)
+        with pytest.raises(InputError, match="non-finite"):
+            zformer.zformer_block(rep, quant, params, acfg)
 
 
 def test_overflowing_pooled_positions_end_in_input_error():
