@@ -9,11 +9,14 @@ A block runs on features in Z-curve order (``morton.z_order``):
 2. top-k attention — each query block attends to the raw tokens of the k
    blocks its affinity row ranks highest (its own block always included), so
    the full token-by-token score matrix is never materialized; the inference
-   kernel scores keys by queries, skips the softmax row max when a
-   Cauchy–Schwarz bound on the scores shows ``exp`` cannot overflow or
-   underflow (else it shifts each row by its max), and takes the softmax sums
-   from a ones column appended to each head's values, dividing after the value
-   product;
+   kernel walks each query block's selected keys in tiles of at most 256,
+   scores keys by queries with log2(e) folded into the query scale, so
+   ``exp2`` of a score is ``exp`` of the natural one, and takes the softmax
+   sums from a ones column appended to each head's values, adding each
+   tile's value product into one accumulator and dividing once per chunk; it
+   skips the softmax row max when a Cauchy–Schwarz bound on the scores shows
+   the exponent cannot overflow or underflow, else it keeps a running row max
+   across the tiles;
 3. gated fusion — two per-token sigmoid gates mix the branch outputs in head
    space (the group branch's one row per block), ``w_o`` projects the mix
    once (``w_o`` is linear, so this equals gating the two projected
@@ -65,11 +68,18 @@ from .numerics import (
 )
 from .scene import check_fields, integer, one_of
 
-# bytes of gathered keys, values and scores per top-k chunk: about half of
-# one core's 2 MB L2, so a chunk's tiles stay in cache from the gather through
-# both products and the softmax, unless one query block, a chunk's floor,
-# gathers more alone (~29 MB at k=1024, width 96; see _topk_chunks)
+# bytes of gathered keys, values and scores per top-k chunk of query blocks,
+# each with one tile of its selected keys: about half of one core's 2 MB L2,
+# so a chunk's tiles stay in cache from the gather through both products and
+# the softmax. A chunk's floor, one query block with one tile, takes at most
+# _TILE_KEYS·(2·width + block_len) values: 224 KiB at width 96, block_len 32
 _CHUNK_BYTES = 2**20
+
+# keys per tile of a query block's selected slots (see _topk_chunks), whole
+# key blocks of at most this many keys (one block when block_len is larger):
+# above about 768 keys the value product leaves OpenBLAS's small-matrix path
+# and costs about twice as much per key on one thread
+_TILE_KEYS = 256
 
 # rows per tile of the Z-sorted sequence in a block's input products, the
 # stacked Q/K/V and the gate (see _tiled_linear): a 4096 x 96 float32 tile is
@@ -78,8 +88,13 @@ _TILE_ROWS = 4096
 
 # a top-k call's softmax skips the row max when its score bound plus ln(keys)
 # plus ln(max(1, max|v|)) is below this (see _scores_are_bounded): float32 exp
-# overflows past 88.7, and e^-80 is still a normal float32
+# overflows past 88.7 (exp2 past 128, the same value), and e^-80 = 2^-115.4
+# is still a normal float32
 _EXP_BOUND = 80.0
+
+# the top-k kernel's scores are natural scores times this, so exp2 of them is
+# exp of the natural ones
+_LOG2E = math.log2(math.e)
 
 
 @dataclass(frozen=True)
@@ -352,8 +367,10 @@ def _selection(n: int, w_blocks: np.ndarray, cfg: AttentionConfig, selection):
 def _topk_loop_fwd(q, k, v, selection, counts, cfg):
     """Reference path: one python iteration per query block, keeping each
     block's softmax. It builds the gradient cache and is the oracle the
-    chunked kernel is checked against. q is scaled before the products, as
-    the kernel scales it, so both paths round the scores alike."""
+    chunked kernel is checked against. q is scaled by 1/sqrt(head width)
+    before the products and the softmax takes natural ``exp``; the kernel
+    folds log2(e) into that scale and takes ``exp2``, so the two differ only
+    in rounding."""
     starts = _starts(counts)
     slices, scale = _head_slices(cfg)
     q_scaled = q * scale
@@ -373,22 +390,25 @@ def _topk_loop_fwd(q, k, v, selection, counts, cfg):
     return tok_out, blocks
 
 
-def _scores_are_bounded(q, k, v, n_heads: int, keys: int) -> bool:
+def _scores_are_bounded(q, k, v, n_heads: int, keys: int, base: float = math.e) -> bool:
     """Whether a top-k call's softmax may skip the row max: true when the
     score bound B plus ln(keys) plus ln(max(1, max|v|)) is below
-    ``_EXP_BOUND``.
+    ``_EXP_BOUND``, all in natural units.
 
     q (already scaled), k and v hold one token per row in their last axis,
-    ``n_heads`` heads side by side. By Cauchy–Schwarz each score of a head
-    obeys |s| <= B = max‖q_i‖·max‖k_j‖ over that head's columns. Below the
-    bound, exp(s) lies in [e^-80, e^80 / keys], inside float32's normal range,
-    so a row's exp-sum over ``keys`` keys stays finite and nonzero and its
-    exp-weighted value sums stay below e^80. A non-finite input fails."""
+    ``n_heads`` heads side by side. The softmax raises ``base`` to each score
+    q_i·k_j, so the natural score is ln(base)·q_i·k_j; the kernel passes 2,
+    having folded log2(e) into q. By Cauchy–Schwarz each natural score of a
+    head obeys |s| <= B = ln(base)·max‖q_i‖·max‖k_j‖ over that head's
+    columns. Below the bound, e^s lies in [e^-80, e^80 / keys], inside
+    float32's normal range, so a row's exp-sum over ``keys`` keys stays
+    finite and nonzero and its exp-weighted value sums stay below e^80. A
+    non-finite input fails."""
     rows = [x.reshape(-1, n_heads, x.shape[-1] // n_heads) for x in (q, k)]
     with np.errstate(over="ignore", invalid="ignore"):
         # each head's largest squared row norm of q, then of k
         q_sq, k_sq = (np.einsum("rhd,rhd->rh", r, r).max(axis=0) for r in rows)
-        score_bound = float(np.sqrt((q_sq * k_sq).max()))
+        score_bound = float(np.sqrt((q_sq * k_sq).max())) * math.log(base)
         v_max = max(1.0, float(v.max()), -float(v.min()))
     return score_bound + math.log(keys) + math.log(v_max) < _EXP_BOUND
 
@@ -399,10 +419,12 @@ def _topk_layout(q, k, v, cfg):
 
     q, k and v arrive as strided column views of the stacked projection; they
     are copied once, so every gathered key/value block is one contiguous run,
-    and q is scaled once. v is copied into per-head blocks that each end in a
-    ones column, ``[v_0 | 1 | v_1 | 1 …]``. A caller that holds nothing else
-    of q, k and v can release them before ``_topk_chunks`` runs; neither step
-    writes to an array it is given."""
+    and q is scaled once, by 1/sqrt(head width) times log2(e), so the
+    kernel's ``exp2`` of a score is ``exp`` of the natural score. v is copied
+    into per-head blocks that each end in a ones column,
+    ``[v_0 | 1 | v_1 | 1 …]``. A caller that holds nothing else of q, k and v
+    can release them before ``_topk_chunks`` runs; neither step writes to an
+    array it is given."""
     n, width = q.shape
     block_len = cfg.block_len
     n_blocks = -(-n // block_len)
@@ -413,7 +435,7 @@ def _topk_layout(q, k, v, cfg):
         np.pad(x, ((0, pad), (0, 0))).reshape(n_blocks, block_len, width)
         for x in (q, k)
     )
-    q_blocks *= scale
+    q_blocks *= scale * _LOG2E
     # padded value rows keep their ones: their keys score -inf
     v_blocks = np.ones((n_blocks * block_len, n_heads, dh + 1), q.dtype)
     v_blocks[:n, :, :dh] = v.reshape(n, n_heads, dh)
@@ -424,66 +446,117 @@ def _topk_chunks(q_blocks, k_blocks, v_blocks, n, selection, cfg):
     """The kernel's chunk loop over the ``_topk_layout`` blocks of ``n``
     tokens; returns the n x head output.
 
-    Each chunk makes three passes over its k·L x block_len scores per head:
-    the product ``ks @ q_blockᵀ``, laid out keys by queries, ``exp`` in place,
-    and the value product ``sᵀ @ [v_h | 1]``, which returns each query row's
-    softmax numerators and, in its last column, the row's exp-sum; the
-    block_len x head output is divided by that column. A padded final block's
+    Query blocks run in chunks, and each chunk walks its query blocks'
+    selected key blocks in tiles of at most ``_TILE_KEYS`` keys, the same
+    slots of every query block at once. Per head, a tile makes three passes
+    over its keys x block_len scores: the product ``ks @ q_blockᵀ``, laid out
+    keys by queries, ``exp2`` in place (the layout's q carries log2(e)), and
+    the value product ``sᵀ @ [v_h | 1]``, which returns each query row's
+    softmax numerators and, in its last column, the row's exp-sum. The first
+    tile's product is written straight into the head's accumulator and each
+    later one is added to it; once the chunk's last tile is in, the
+    accumulator is divided by its last column, once. A padded final block's
     key rows score -inf, so they add to neither, and its padded query rows
     are dropped from the output.
 
     No row max is taken when ``_scores_are_bounded`` holds for the call (see
-    there): exp of the raw scores can then neither overflow nor underflow.
-    Otherwise every score row is shifted by its max before ``exp``, as a
-    softmax is normally computed; the two differ in nothing else. Outputs
-    agree with the per-block loop within 5e-6 in float32 and 1e-12 in float64,
-    not bit for bit; the same input always gives the same bytes.
+    there): every tile then only adds, since ``exp2`` of the raw scores can
+    neither overflow nor underflow. Otherwise the kernel keeps each query
+    row's running max over the tiles so far and shifts the tile's scores by
+    it before ``exp2``; where a tile raises the max, the accumulator is first
+    scaled by 2^(old max - new max) (the online softmax). With one tile this
+    is the usual row-max softmax. Outputs agree with the per-block loop
+    within 5e-6 in float32 and 1e-12 in float64, not bit for bit; the same
+    input always gives the same bytes.
 
-    Query blocks run in chunks whose gathered keys, values and scores fit in
-    ``_CHUNK_BYTES``, so they stay in L2 from the gather through the two
-    products; the buffers are allocated once and reused, and each chunk's
-    products are written straight into the output. A chunk holds at least
-    one query block, whose k·L·(2·width + block_len) values can alone exceed
-    the budget: ~29 MB at block_len 32, k=1024 and width 96."""
+    A chunk holds as many query blocks as fit their gathered tile of keys,
+    values and scores in ``_CHUNK_BYTES``, at least one, so the tiles stay in
+    L2 from the gather through the two products, at any k. The buffers are
+    allocated once and reused; a second product buffer exists only when a
+    query block's k·L keys take more than one tile."""
     n_blocks, block_len, width = q_blocks.shape
     pad = n_blocks * block_len - n
     slices = _head_slices(cfg)[0]
     n_heads, dh = len(slices), width // len(slices)
     dtype = q_blocks.dtype
     k_sel = selection.shape[1]
-    kl = k_sel * block_len
-    shift = not _scores_are_bounded(q_blocks, k_blocks, v_blocks, n_heads, kl)
-    per_block = kl * dtype.itemsize * (2 * width + block_len)
-    chunk = max(1, min(n_blocks, int(_CHUNK_BYTES / max(per_block, 1))))
-    ks = np.empty((chunk, kl, width), dtype)
-    vs = np.empty((chunk, kl, n_heads * (dh + 1)), dtype)
-    scores = np.empty((chunk, kl, block_len), dtype)
-    sums = np.empty((chunk, block_len, dh + 1), dtype)
+    shift = not _scores_are_bounded(q_blocks, k_blocks, v_blocks, n_heads,
+                                    k_sel * block_len, base=2.0)
+    slots = max(1, min(k_sel, _TILE_KEYS // block_len))
+    tiles = [slice(t, min(t + slots, k_sel)) for t in range(0, k_sel, slots)]
+    tile_keys = slots * block_len
+    chunk = max(1, min(n_blocks, int(_CHUNK_BYTES / (
+        tile_keys * dtype.itemsize * (2 * width + block_len)))))
+    vw = n_heads * (dh + 1)
+    # flat buffers: a short last tile or chunk takes a prefix of each
+    ks = np.empty(chunk * tile_keys * width, dtype)
+    vs = np.empty(chunk * tile_keys * vw, dtype)
+    scores = np.empty(chunk * tile_keys * block_len, dtype)
+    acc = np.empty((n_heads, chunk, block_len, dh + 1), dtype)
+    row_max = np.empty((n_heads, chunk, 1, block_len), dtype)
+    if len(tiles) > 1:
+        part = np.empty((chunk, block_len, dh + 1), dtype)
+        tile_ids = np.empty(chunk * k_sel, selection.dtype)
+
+    def plan(m):
+        """A chunk of m query blocks: where each entry of its tile-major
+        selection (each tile's slots of all m blocks in one run) sits in its
+        row-major one; per tile, its span of that selection and views of the
+        buffers it fills, per head too. Built once per chunk size, so the
+        tile loop creates no array."""
+        order = np.arange(m * k_sel).reshape(m, k_sel)
+        views = []
+        for tile in tiles:
+            span = slice(m * tile.start, m * tile.stop)
+            keys = (span.stop - span.start) * block_len
+            k_t = ks[: keys * width].reshape(m, -1, width)
+            v_t = vs[: keys * vw].reshape(m, -1, vw)
+            s = scores[: keys * block_len].reshape(m, -1, block_len)
+            views.append((span, k_t.reshape(-1, block_len, width),
+                          v_t.reshape(-1, block_len, vw), s, s.transpose(0, 2, 1),
+                          [(k_t[:, :, hs], v_t[:, :, h * (dh + 1) : (h + 1) * (dh + 1)],
+                            acc[h, :m], row_max[h, :m]) for h, hs in enumerate(slices)]))
+        return np.concatenate([order[:, tile].ravel() for tile in tiles]), views
+
+    full = plan(chunk)
     out = np.empty((n_blocks, block_len, width), dtype)
     for c0 in range(0, n_blocks, chunk):
         c1 = min(c0 + chunk, n_blocks)
         m = c1 - c0
-        sel = selection[c0:c1].ravel()
-        # _selection checked the block ids, so "clip" never clips; the default
-        # "raise" gathers into a temporary and copies it into ``out`` again
-        np.take(k_blocks, sel, axis=0, out=ks[:m].reshape(m * k_sel, block_len, width),
-                mode="clip")
-        np.take(v_blocks, sel, axis=0, out=vs[:m].reshape(m * k_sel, block_len, -1),
-                mode="clip")
-        # (query block, slot) pairs whose gathered keys end in padding
-        padded = np.nonzero(selection[c0:c1] == n_blocks - 1) if pad else None
-        s, acc = scores[:m], sums[:m]
+        order, views = full if m == chunk else plan(m)
+        ids = selection[c0:c1].ravel()
+        if len(tiles) > 1:
+            ids = np.take(ids, order, out=tile_ids[: m * k_sel], mode="clip")
+        q_t = [q_blocks[c0:c1, :, hs].transpose(0, 2, 1) for hs in slices]
+        for t, (span, k_g, v_g, s, s_t, heads) in enumerate(views):
+            sel = ids[span]
+            # _selection checked the block ids, so "clip" never clips; the
+            # default "raise" gathers into a temporary and copies it again
+            np.take(k_blocks, sel, axis=0, out=k_g, mode="clip")
+            np.take(v_blocks, sel, axis=0, out=v_g, mode="clip")
+            # (query block, slot) pairs whose gathered keys end in padding
+            padded = np.nonzero(sel.reshape(m, -1) == n_blocks - 1) if pad else None
+            for (k_h, v_h, a, run), q_h in zip(heads, q_t):
+                np.matmul(k_h, q_h, out=s)
+                if pad:
+                    s.reshape(m, -1, block_len, block_len)[
+                        padded[0], padded[1], block_len - pad :] = -np.inf
+                if shift:
+                    if t == 0:
+                        s.max(axis=1, keepdims=True, out=run)
+                    else:
+                        new = np.maximum(run, s.max(axis=1, keepdims=True))
+                        a *= np.exp2(run - new).transpose(0, 2, 1)
+                        run[...] = new
+                    s -= run
+                np.exp2(s, out=s)
+                if t == 0:
+                    np.matmul(s_t, v_h, out=a)
+                else:
+                    np.matmul(s_t, v_h, out=part[:m])
+                    a += part[:m]
         for h, hs in enumerate(slices):
-            np.matmul(ks[:m, :, hs], q_blocks[c0:c1, :, hs].transpose(0, 2, 1), out=s)
-            if pad:
-                slots = s.reshape(m, k_sel, block_len, block_len)
-                slots[padded[0], padded[1], block_len - pad :] = -np.inf
-            if shift:
-                s -= s.max(axis=1, keepdims=True)
-            np.exp(s, out=s)
-            v_h = vs[:m, :, h * (dh + 1) : (h + 1) * (dh + 1)]
-            np.matmul(s.transpose(0, 2, 1), v_h, out=acc)
-            np.divide(acc[..., :dh], acc[..., dh:], out=out[c0:c1, :, hs])
+            np.divide(acc[h, :m, :, :dh], acc[h, :m, :, dh:], out=out[c0:c1, :, hs])
     return out.reshape(-1, width)[:n]
 
 

@@ -251,6 +251,90 @@ def test_topk_chunked_working_set_is_cache_sized():
     assert peak < 16e6, f"top-k kernel peak allocation {peak / 1e6:.1f} MB"
 
 
+# The kernel tests above again, with the kernel's tiles cut to 32 and 64 keys:
+# the k=4 blocks of 32 that _topk_inputs selects then run as 4 and 2 tiles,
+# so the accumulator, the padding mask and the running row max span tiles.
+in_tiles = pytest.mark.parametrize("tile_keys", [32, 64])
+
+
+@in_tiles
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("n", [256, 250, 225])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
+def test_topk_tiles_match_loop(monkeypatch, tile_keys, dtype, tol, n, n_heads):
+    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
+    test_topk_chunked_path_matches_loop_path(dtype, tol, n, n_heads)
+
+
+@in_tiles
+@pytest.mark.parametrize("chunk_blocks", [1, 3])
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("n", [256, 225])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
+def test_topk_tiles_match_loop_across_chunks(monkeypatch, tile_keys, dtype, tol, n,
+                                             n_heads, chunk_blocks):
+    # a budget of chunk_blocks query blocks, each with one tile of gathered
+    # keys, values and scores (width 8): the 8 blocks run as 3 + 3 + 2 or one
+    # at a time, every chunk through every tile
+    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
+    per_block = tile_keys * np.dtype(dtype).itemsize * (2 * 8 + 32)
+    monkeypatch.setattr(zformer, "_CHUNK_BYTES", chunk_blocks * per_block)
+    _assert_chunked_matches_loop(dtype, tol, n, n_heads)
+
+
+@in_tiles
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
+def test_topk_tiles_match_loop_with_one_dominant_key(monkeypatch, tile_keys, dtype, tol,
+                                                    n_heads):
+    # each row's top key lies in one tile, so the running max rises across
+    # the tiles and the accumulator is rescaled
+    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
+    test_topk_chunked_matches_loop_with_one_dominant_key(dtype, tol, n_heads)
+
+
+@in_tiles
+@pytest.mark.parametrize("side", [-0.05, 0.05, 20.0])
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
+def test_topk_tiles_match_loop_on_both_sides_of_the_score_bound(monkeypatch, tile_keys,
+                                                                dtype, tol, n_heads, side):
+    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
+    test_topk_chunked_matches_loop_on_both_sides_of_the_score_bound(dtype, tol, n_heads, side)
+
+
+@in_tiles
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("n", [250, 225])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
+def test_topk_tiles_match_loop_when_every_block_selects_the_padded_one(
+        monkeypatch, tile_keys, dtype, tol, n, n_heads):
+    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
+    test_topk_chunked_matches_loop_when_every_block_selects_the_padded_one(
+        dtype, tol, n, n_heads)
+
+
+def test_topk_chunk_stays_within_its_budget_at_any_k():
+    # k=256 of 512 blocks of 32: each query block selects 8192 keys, which
+    # alone would take 3.1 MB of gathered keys, values and scores at width 32.
+    # In tiles, the kernel's peak beyond its 2 MiB output stays within twice
+    # its chunk budget
+    n, width = 16384, 32
+    cfg = zformer.AttentionConfig(block_len=32, model_width=width, head_width=width)
+    q, k, v = np.split(_features(n, 3 * width, seed=75), 3, axis=1)
+    selection = zformer.select_blocks(uniform01(76, 512 * 512).reshape(512, 512), 256)
+    blocks = zformer._topk_layout(q, k, v, cfg)
+    tracemalloc.start()
+    try:
+        out = zformer._topk_chunks(*blocks, n, selection, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 2**21
+    assert peak - out.nbytes < 2 * zformer._CHUNK_BYTES, (
+        f"top-k kernel peak {peak / 2**20:.2f} MiB with a {out.nbytes / 2**20:.0f} MiB output")
+
+
 def test_topk_attention_releases_its_projection_before_the_chunk_loop():
     # the sparse-k benchmark's first level: n=16384, width 96, head width 32,
     # select_k 8. The wrapper drops the stacked projection once the kernel has
