@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, otherwise the failing
 error's ``exit_code`` (see ``errors.py``: 2 malformed input or file format,
 3 out-of-range argument, 4 checkpoint/config mismatch); an OS error reading
-or writing a path exits 2.
+or writing a path exits 2, and running out of memory, as an argument too
+large for the host does, exits 3.
 """
 
 from __future__ import annotations
@@ -238,6 +239,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return RangeError.exit_code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Each class carries the CLI's process exit code as ``exit_code``: input and
-format problems exit 2, range violations 3, checkpoint mismatches 4.
+format problems exit 2, range violations 3, checkpoint mismatches 4. The CLI
+maps a ``MemoryError``, an argument too large for the host, to 3 as well.
 """
 
 

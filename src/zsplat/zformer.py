@@ -390,55 +390,62 @@ def _topk_loop_fwd(q, k, v, selection, counts, cfg):
     return tok_out, blocks
 
 
-def _scores_are_bounded(q, k, v, n_heads: int, keys: int, base: float = math.e) -> bool:
+def _scores_are_bounded(q_blocks, k_blocks, v_blocks, n_heads: int, keys: int) -> bool:
     """Whether a top-k call's softmax may skip the row max: true when the
     score bound B plus ln(keys) plus ln(max(1, max|v|)) is below
     ``_EXP_BOUND``, all in natural units.
 
-    q (already scaled), k and v hold one token per row in their last axis,
-    ``n_heads`` heads side by side. The softmax raises ``base`` to each score
-    q_i·k_j, so the natural score is ln(base)·q_i·k_j; the kernel passes 2,
-    having folded log2(e) into q. By Cauchy–Schwarz each natural score of a
-    head obeys |s| <= B = ln(base)·max‖q_i‖·max‖k_j‖ over that head's
-    columns. Below the bound, e^s lies in [e^-80, e^80 / keys], inside
-    float32's normal range, so a row's exp-sum over ``keys`` keys stays
-    finite and nonzero and its exp-weighted value sums stay below e^80. A
-    non-finite input fails."""
-    rows = [x.reshape(-1, n_heads, x.shape[-1] // n_heads) for x in (q, k)]
+    The arguments are ``_topk_layout``'s blocks, whose last axis holds
+    ``n_heads`` heads side by side. The kernel raises 2 to each score
+    q_i·k_j (the layout's q carries log2(e)), so the natural score is
+    ln(2)·q_i·k_j. By Cauchy–Schwarz each natural score of a head obeys
+    |s| <= B = ln(2)·max‖q_i‖·max‖k_j‖ over that head's columns. Below the
+    bound, e^s lies in [e^-80, e^80 / keys], inside float32's normal range, so
+    a row's exp-sum over ``keys`` keys stays finite and nonzero and its
+    exp-weighted value sums stay below e^80. A non-finite input fails: a NaN
+    makes the bound NaN, and NaN < ``_EXP_BOUND`` is false."""
+    rows = [x.reshape(-1, n_heads, x.shape[-1] // n_heads) for x in (q_blocks, k_blocks)]
     with np.errstate(over="ignore", invalid="ignore"):
         # each head's largest squared row norm of q, then of k
         q_sq, k_sq = (np.einsum("rhd,rhd->rh", r, r).max(axis=0) for r in rows)
-        score_bound = float(np.sqrt((q_sq * k_sq).max())) * math.log(base)
-        v_max = max(1.0, float(v.max()), -float(v.min()))
+        score_bound = float(np.sqrt((q_sq * k_sq).max())) * math.log(2.0)
+        # np.max keeps a NaN, where Python's max would drop it
+        v_max = float(np.max([1.0, v_blocks.max(), -v_blocks.min()]))
     return score_bound + math.log(keys) + math.log(v_max) < _EXP_BOUND
 
 
 def _topk_layout(q, k, v, cfg):
     """The kernel's block arrays of ``n`` tokens: (q_blocks, k_blocks,
-    v_blocks), each (n_blocks, block_len, ·), zero-padded to whole blocks.
+    v_blocks), each (n_blocks, block_len, ·), a ragged final block padded to
+    a whole one.
 
     q, k and v arrive as strided column views of the stacked projection; they
     are copied once, so every gathered key/value block is one contiguous run,
     and q is scaled once, by 1/sqrt(head width) times log2(e), so the
     kernel's ``exp2`` of a score is ``exp`` of the natural score. v is copied
     into per-head blocks that each end in a ones column,
-    ``[v_0 | 1 | v_1 | 1 …]``. A caller that holds nothing else of q, k and v
-    can release them before ``_topk_chunks`` runs; neither step writes to an
-    array it is given."""
+    ``[v_0 | 1 | v_1 | 1 …]``.
+
+    The padded rows of q and k repeat row n−1, and the padded rows of v are
+    zero, ones column included. A padded key then scores as key n−1 does, in
+    the same block, so it never raises a row's max, and it adds +0.0 to every
+    numerator and exp-sum; the padded query rows are dropped from the output.
+    A caller that holds nothing else of q, k and v can release them before
+    ``_topk_chunks`` runs; neither step writes to an array it is given."""
     n, width = q.shape
     block_len = cfg.block_len
     n_blocks = -(-n // block_len)
-    pad = n_blocks * block_len - n
     slices, scale = _head_slices(cfg)
     n_heads, dh = len(slices), width // len(slices)
     q_blocks, k_blocks = (
-        np.pad(x, ((0, pad), (0, 0))).reshape(n_blocks, block_len, width)
+        np.pad(x, ((0, n_blocks * block_len - n), (0, 0)), mode="edge")
+        .reshape(n_blocks, block_len, width)
         for x in (q, k)
     )
     q_blocks *= scale * _LOG2E
-    # padded value rows keep their ones: their keys score -inf
-    v_blocks = np.ones((n_blocks * block_len, n_heads, dh + 1), q.dtype)
+    v_blocks = np.zeros((n_blocks * block_len, n_heads, dh + 1), q.dtype)
     v_blocks[:n, :, :dh] = v.reshape(n, n_heads, dh)
+    v_blocks[:n, :, dh] = 1
     return q_blocks, k_blocks, v_blocks.reshape(n_blocks, block_len, n_heads * (dh + 1))
 
 
@@ -448,16 +455,16 @@ def _topk_chunks(q_blocks, k_blocks, v_blocks, n, selection, cfg):
 
     Query blocks run in chunks, and each chunk walks its query blocks'
     selected key blocks in tiles of at most ``_TILE_KEYS`` keys, the same
-    slots of every query block at once. Per head, a tile makes three passes
-    over its keys x block_len scores: the product ``ks @ q_blockᵀ``, laid out
-    keys by queries, ``exp2`` in place (the layout's q carries log2(e)), and
-    the value product ``sᵀ @ [v_h | 1]``, which returns each query row's
-    softmax numerators and, in its last column, the row's exp-sum. The first
-    tile's product is written straight into the head's accumulator and each
-    later one is added to it; once the chunk's last tile is in, the
-    accumulator is divided by its last column, once. A padded final block's
-    key rows score -inf, so they add to neither, and its padded query rows
-    are dropped from the output.
+    slots of every query block at once, gathered straight from the
+    selection's columns. Per head, a tile makes three passes over its keys x
+    block_len scores: the product ``ks @ q_blockᵀ``, laid out keys by
+    queries, ``exp2`` in place (the layout's q carries log2(e)), and the
+    value product ``sᵀ @ [v_h | 1]``, which returns each query row's softmax
+    numerators and, in its last column, the row's exp-sum. The first tile's
+    product is written straight into the head's accumulator and each later
+    one is added to it; once the chunk's last tile is in, the accumulator is
+    divided by its last column, once. A padded final block needs no mask:
+    its padded keys repeat key n−1 with zero values (see ``_topk_layout``).
 
     No row max is taken when ``_scores_are_bounded`` holds for the call (see
     there): every tile then only adds, since ``exp2`` of the raw scores can
@@ -475,13 +482,12 @@ def _topk_chunks(q_blocks, k_blocks, v_blocks, n, selection, cfg):
     allocated once and reused; a second product buffer exists only when a
     query block's k·L keys take more than one tile."""
     n_blocks, block_len, width = q_blocks.shape
-    pad = n_blocks * block_len - n
     slices = _head_slices(cfg)[0]
     n_heads, dh = len(slices), width // len(slices)
     dtype = q_blocks.dtype
     k_sel = selection.shape[1]
     shift = not _scores_are_bounded(q_blocks, k_blocks, v_blocks, n_heads,
-                                    k_sel * block_len, base=2.0)
+                                    k_sel * block_len)
     slots = max(1, min(k_sel, _TILE_KEYS // block_len))
     tiles = [slice(t, min(t + slots, k_sel)) for t in range(0, k_sel, slots)]
     tile_keys = slots * block_len
@@ -494,53 +500,44 @@ def _topk_chunks(q_blocks, k_blocks, v_blocks, n, selection, cfg):
     scores = np.empty(chunk * tile_keys * block_len, dtype)
     acc = np.empty((n_heads, chunk, block_len, dh + 1), dtype)
     row_max = np.empty((n_heads, chunk, 1, block_len), dtype)
+    # only a call of more than one tile adds partial products: sparse-k and
+    # many-views run one tile and allocate none (paired runs for and against
+    # allocating it on every call: ROADMAP, Tried and dropped)
     if len(tiles) > 1:
         part = np.empty((chunk, block_len, dh + 1), dtype)
-        tile_ids = np.empty(chunk * k_sel, selection.dtype)
 
     def plan(m):
-        """A chunk of m query blocks: where each entry of its tile-major
-        selection (each tile's slots of all m blocks in one run) sits in its
-        row-major one; per tile, its span of that selection and views of the
-        buffers it fills, per head too. Built once per chunk size, so the
-        tile loop creates no array."""
-        order = np.arange(m * k_sel).reshape(m, k_sel)
+        """Per tile of a chunk of m query blocks, the views of the buffers it
+        fills, per head too. Built once per chunk size, so the tile loop
+        creates no array: built per chunk instead, they took criterion 7's
+        forward under tracemalloc from 15.6-15.8 s to 18.1-18.5 s (2 vCPUs,
+        one BLAS thread)."""
         views = []
         for tile in tiles:
-            span = slice(m * tile.start, m * tile.stop)
-            keys = (span.stop - span.start) * block_len
-            k_t = ks[: keys * width].reshape(m, -1, width)
-            v_t = vs[: keys * vw].reshape(m, -1, vw)
-            s = scores[: keys * block_len].reshape(m, -1, block_len)
-            views.append((span, k_t.reshape(-1, block_len, width),
-                          v_t.reshape(-1, block_len, vw), s, s.transpose(0, 2, 1),
+            keys = (tile.stop - tile.start) * block_len
+            k_t = ks[: m * keys * width].reshape(m, keys, width)
+            v_t = vs[: m * keys * vw].reshape(m, keys, vw)
+            s = scores[: m * keys * block_len].reshape(m, keys, block_len)
+            views.append((tile, k_t.reshape(m, -1, block_len, width),
+                          v_t.reshape(m, -1, block_len, vw), s, s.transpose(0, 2, 1),
                           [(k_t[:, :, hs], v_t[:, :, h * (dh + 1) : (h + 1) * (dh + 1)],
                             acc[h, :m], row_max[h, :m]) for h, hs in enumerate(slices)]))
-        return np.concatenate([order[:, tile].ravel() for tile in tiles]), views
+        return views
 
     full = plan(chunk)
     out = np.empty((n_blocks, block_len, width), dtype)
     for c0 in range(0, n_blocks, chunk):
         c1 = min(c0 + chunk, n_blocks)
         m = c1 - c0
-        order, views = full if m == chunk else plan(m)
-        ids = selection[c0:c1].ravel()
-        if len(tiles) > 1:
-            ids = np.take(ids, order, out=tile_ids[: m * k_sel], mode="clip")
         q_t = [q_blocks[c0:c1, :, hs].transpose(0, 2, 1) for hs in slices]
-        for t, (span, k_g, v_g, s, s_t, heads) in enumerate(views):
-            sel = ids[span]
+        for t, (tile, k_g, v_g, s, s_t, heads) in enumerate(full if m == chunk else plan(m)):
+            sel = selection[c0:c1, tile]
             # _selection checked the block ids, so "clip" never clips; the
             # default "raise" gathers into a temporary and copies it again
             np.take(k_blocks, sel, axis=0, out=k_g, mode="clip")
             np.take(v_blocks, sel, axis=0, out=v_g, mode="clip")
-            # (query block, slot) pairs whose gathered keys end in padding
-            padded = np.nonzero(sel.reshape(m, -1) == n_blocks - 1) if pad else None
             for (k_h, v_h, a, run), q_h in zip(heads, q_t):
                 np.matmul(k_h, q_h, out=s)
-                if pad:
-                    s.reshape(m, -1, block_len, block_len)[
-                        padded[0], padded[1], block_len - pad :] = -np.inf
                 if shift:
                     if t == 0:
                         s.max(axis=1, keepdims=True, out=run)

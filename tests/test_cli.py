@@ -483,6 +483,28 @@ def test_a_scene_with_more_views_than_open_files_loads(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
+# runs the CLI after limiting the process's address space to 3 GB
+_CLI_IN_3_GB = (
+    "import resource, sys; hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+    "limit = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard); "
+    "resource.setrlimit(resource.RLIMIT_AS, (limit, hard)); "
+    "from zsplat.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_a_scene_too_large_to_allocate_exits_3(tmp_path):
+    # 10^12 pixels per view: numpy's allocation fails under the limit, whatever
+    # the host's overcommit policy, and the CLI names it in one line
+    out = tmp_path / "s"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", _CLI_IN_3_GB, "gen-scene", "--out",
+                           str(out), "--res", "1000000x1000000"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
+
+
 def test_missing_scene_dir_exits_2(tmp_path):
     assert main(["select-views", "--scene", str(tmp_path / "void"),
                  "--max-views", "1"]) == 2

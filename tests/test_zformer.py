@@ -143,11 +143,11 @@ def _topk_inputs(dtype, n, n_heads, last_every=2):
 
 def _assert_kernel_matches_loop(cfg, q, k, v, selection, tol, bounded):
     # bounded names the softmax the kernel takes: True skips the row max
-    scale = zformer._head_slices(cfg)[1]
+    blocks = zformer._topk_layout(q, k, v, cfg)
     keys = selection.shape[1] * cfg.block_len
-    assert zformer._scores_are_bounded(q * scale, k, v, cfg.n_heads, keys) is bounded
+    assert zformer._scores_are_bounded(*blocks, cfg.n_heads, keys) is bounded
     n = len(q)
-    chunked = zformer._topk_chunks(*zformer._topk_layout(q, k, v, cfg), len(q), selection, cfg)
+    chunked = zformer._topk_chunks(*blocks, n, selection, cfg)
     counts = zformer._block_counts(n, cfg.block_len)
     loop, _ = zformer._topk_loop_fwd(q, k, v, selection, counts, cfg)
     assert chunked.shape == loop.shape == (n, cfg.head_width)
@@ -223,6 +223,37 @@ def test_topk_chunked_matches_loop_on_both_sides_of_the_score_bound(dtype, tol, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_kernel_matches_loop(cfg, q, k, v, selection, tol, bounded=side < 0)
+    # one NaN or inf in v fails the bound on either side of it
+    blocks = zformer._topk_layout(q, k, v, cfg)
+    for bad in (np.nan, np.inf):
+        blocks[2][0, 0, 0] = bad
+        assert not zformer._scores_are_bounded(*blocks, n_heads, keys)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("dtype,tol,top,v_max", [(np.float32, 5e-6, -110.0, 0.01),
+                                                 (np.float64, 1e-12, -800.0, None)])
+def test_topk_chunked_matches_loop_when_every_score_underflows(
+        dtype, tol, top, v_max, n_heads):
+    # n = 225 leaves a one-row final block, and every query block selects it.
+    # Each head's keys lie near a unit vector u and its queries near -c·u, so
+    # every natural score is at most `top`, where exp underflows to 0: the
+    # kernel takes the max shift. A zero padded key would score 0, above every
+    # real key, and set its rows' max; their real weights would then underflow
+    cfg, q, k, v, selection = _topk_inputs(dtype, 225, n_heads, last_every=1)
+    slices, scale = zformer._head_slices(cfg)
+    q, k = q.copy(), k.copy()
+    for hs in slices:
+        dh = hs.stop - hs.start
+        u = np.full(dh, dh ** -0.5, dtype)
+        k[:, hs] = u + dtype(0.01) * k[:, hs]
+        q[:, hs] = dtype(0.01) * q[:, hs] - u * dtype(1.2 * -top / scale)
+    assert max((q[:, hs] @ k[:, hs].T).max() for hs in slices) * scale <= top
+    if v_max is not None:
+        v = v * dtype(v_max / np.abs(v).max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_kernel_matches_loop(cfg, q, k, v, selection, tol, bounded=False)
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
@@ -240,8 +271,8 @@ def test_topk_chunked_working_set_is_cache_sized():
     q, k, v = np.split(_features(n, 3 * width, seed=65), 3, axis=1)
     selection = zformer.select_blocks(uniform01(66, 128 * 128).reshape(128, 128), 64)
     # the scores are bounded, so the kernel takes the no-max softmax
-    scale = zformer._head_slices(cfg)[1]
-    assert zformer._scores_are_bounded(q * scale, k, v, 1, 64 * 32)
+    blocks = zformer._topk_layout(q, k, v, cfg)
+    assert zformer._scores_are_bounded(*blocks, 1, 64 * 32)
     tracemalloc.start()
     try:
         zformer._topk_chunks(*zformer._topk_layout(q, k, v, cfg), len(q), selection, cfg)
@@ -253,7 +284,7 @@ def test_topk_chunked_working_set_is_cache_sized():
 
 # The kernel tests above again, with the kernel's tiles cut to 32 and 64 keys:
 # the k=4 blocks of 32 that _topk_inputs selects then run as 4 and 2 tiles,
-# so the accumulator, the padding mask and the running row max span tiles.
+# so the accumulator, the padded block and the running row max span tiles.
 in_tiles = pytest.mark.parametrize("tile_keys", [32, 64])
 
 
@@ -301,6 +332,17 @@ def test_topk_tiles_match_loop_on_both_sides_of_the_score_bound(monkeypatch, til
                                                                 dtype, tol, n_heads, side):
     monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
     test_topk_chunked_matches_loop_on_both_sides_of_the_score_bound(dtype, tol, n_heads, side)
+
+
+@in_tiles
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("dtype,tol,top,v_max", [(np.float32, 5e-6, -110.0, 0.01),
+                                                 (np.float64, 1e-12, -800.0, None)])
+def test_topk_tiles_match_loop_when_every_score_underflows(
+        monkeypatch, tile_keys, dtype, tol, top, v_max, n_heads):
+    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
+    test_topk_chunked_matches_loop_when_every_score_underflows(
+        dtype, tol, top, v_max, n_heads)
 
 
 @in_tiles
