@@ -121,7 +121,8 @@ class Quantizer:
     @classmethod
     def fit(cls, points: np.ndarray, depth: int = 16) -> "Quantizer":
         """Bounding-box quantizer: box expanded by ``_FIT_PAD`` (fractional),
-        cell equal to the longest expanded extent divided by 2^depth."""
+        cell equal to the longest expanded extent divided by 2^depth. A box
+        whose origin or cell overflows float64 is a RangeError."""
         _check_depth(depth)
         points = np.asarray(points, dtype=np.float64)
         if points.size == 0:
@@ -131,13 +132,16 @@ class Quantizer:
         # mean finite points
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise InputError("points contain non-finite values")
-        extent = hi - lo
-        span = float(extent.max())
-        if span <= 0.0:
-            span = 1.0
-        margin = 0.5 * _FIT_PAD * np.maximum(extent, span * 1e-12)
-        origin = lo - margin
-        cell = span * (1.0 + _FIT_PAD) / (1 << depth)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            extent = hi - lo
+            span = float(extent.max())
+            if span <= 0.0:
+                span = 1.0
+            margin = 0.5 * _FIT_PAD * np.maximum(extent, span * 1e-12)
+            origin = lo - margin
+            cell = span * (1.0 + _FIT_PAD) / (1 << depth)
+        if not (np.isfinite(origin).all() and np.isfinite(cell)):
+            raise RangeError(f"points span {lo.tolist()} to {hi.tolist()}, past float64 range")
         return cls(origin, cell, depth)
 
     def quantize(self, points: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ exactly the grid its input points were pooled to. Cell-center positions then
 re-quantize to the same cells, and each stage merges a genuinely coarser
 neighborhood instead of re-splitting the previous one.
 
-A checkpoint is a directory: ``manifest.json`` mapping parameter names to
-tensor-container files (plus layer seeds), one pair of files per layer.
+A checkpoint is a directory: ``manifest.json`` mapping each layer's name to
+its pair of tensor-container files, named after it, plus its seed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import CheckpointError, ConfigError, RangeError
 from .gaussian_head import HeadParams, predict
 from .morton import Quantizer, bounding_box
 from .numerics import LinearLayer, derive_seed
-from .scene import (PointRepresentation, check_fields, file_in, integer, one_of, optional,
+from .scene import (PointRepresentation, check_fields, integer, one_of, optional,
                     read_json_object, read_tensor, worded, write_tensor)
 from .zformer import ZFormerParams, zformer_block
 
@@ -145,46 +145,51 @@ def _named_layers(model: ModelParams) -> dict:
     return layers
 
 
+def _layer_files(name: str) -> dict:
+    """The weight and bias files saved for layer ``name``: the only ones its entry may name."""
+    stem = name.replace("/", "__")
+    return {"weight": f"{stem}.weight.tns", "bias": f"{stem}.bias.tns"}
+
+
 def save_checkpoint(model: ModelParams, path) -> int:
     """Write every layer and the manifest; returns the number of layers."""
     os.makedirs(path, exist_ok=True)
     layers = _named_layers(model)
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "params": {},
-    }
+    manifest = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION, "params": {}}
     for name, layer in sorted(layers.items()):
-        stem = name.replace("/", "__")
-        write_tensor(os.path.join(path, f"{stem}.weight.tns"), layer.weight)
-        write_tensor(os.path.join(path, f"{stem}.bias.tns"), layer.bias)
-        manifest["params"][name] = {
-            "weight": f"{stem}.weight.tns",
-            "bias": f"{stem}.bias.tns",
-            "seed": layer.seed,
-        }
+        files = _layer_files(name)
+        for part, file in files.items():
+            write_tensor(os.path.join(path, file), getattr(layer, part))
+        manifest["params"][name] = dict(files, seed=layer.seed)
     with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return len(layers)
 
 
-def _read_layer(path, entry, name: str) -> LinearLayer:
+def _read_layer(path, entry, name: str, shape) -> LinearLayer:
+    """Layer ``name`` from its :func:`_layer_files`, which ``entry`` must name:
+    regular files, not symlinks, of a ``shape`` weight and a ``shape[:1]`` bias."""
     if not isinstance(entry, dict):
         raise CheckpointError(f"{name}: manifest entry must be a JSON object")
-    rules = {"weight": file_in(path), "bias": file_in(path), "seed": optional(integer())}
-    check_fields(entry, rules, lambda message: CheckpointError(f"{name}: {message}"))
-    weight, bias = [read_tensor(os.path.join(path, entry[k])) for k in ("weight", "bias")]
-    if weight.ndim != 2 or bias.shape != (weight.shape[0],):
-        raise CheckpointError(
-            f"{name}: weight {weight.shape} and bias {bias.shape} do not align"
-        )
-    with np.errstate(over="ignore"):  # a value past float32 range casts to inf
-        weight, bias = weight.astype(np.float32), bias.astype(np.float32)
-    for part, values in (("weight", weight), ("bias", bias)):
-        if not np.isfinite(values).all():
+    files = _layer_files(name)
+    rules = {part: worded(one_of(file), f"{part} must be {file!r}, got {{!r}}")
+             for part, file in files.items()}
+    check_fields(entry, dict(rules, seed=optional(integer())),
+                 lambda message: CheckpointError(f"{name}: {message}"))
+    arrays = {}
+    for (part, file), want in zip(files.items(), (shape, shape[:1])):
+        file_path = os.path.join(path, file)
+        if os.path.islink(file_path) or not os.path.isfile(file_path):
+            raise CheckpointError(f"{name}: {file_path} is not a regular file")
+        values = read_tensor(file_path)
+        if values.shape != want:
+            raise CheckpointError(f"{name}: {part} shape {values.shape} != {want} for this config")
+        with np.errstate(over="ignore"):  # a value past float32 range casts to inf
+            arrays[part] = values.astype(np.float32)
+        if not np.isfinite(arrays[part]).all():
             raise CheckpointError(f"{name}: {part} holds a value that is not a finite float32")
-    return LinearLayer(weight, bias, entry.get("seed", 0))
+    return LinearLayer(**arrays, seed=entry.get("seed", 0))
 
 
 def load_checkpoint(path, cfg: RunConfig) -> ModelParams:
@@ -203,15 +208,8 @@ def load_checkpoint(path, cfg: RunConfig) -> ModelParams:
         raise CheckpointError(
             f"checkpoint does not match config: missing {missing}, unexpected {extra}"
         )
-    loaded = {}
-    for name, shape in expected.items():
-        layer = _read_layer(path, entries[name], name)
-        if layer.weight.shape != shape:
-            raise CheckpointError(
-                f"{name}: weight shape {layer.weight.shape} != expected "
-                f"{shape} for this config"
-            )
-        loaded[name] = layer
+    loaded = {name: _read_layer(path, entries[name], name, shape)
+              for name, shape in expected.items()}
     blocks = tuple(
         ZFormerParams(**{n: loaded[f"block{i}/{n}"] for n in ZFormerParams.NAMES})
         for i in range(cfg.n_blocks)

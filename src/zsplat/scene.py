@@ -128,16 +128,6 @@ def worded(rule, message):
     return lambda name, value: rule(name, value) and message.format(value)
 
 
-def file_in(directory):
-    """The name of a regular file, not a symlink, directly inside ``directory``."""
-    def rule(name, value):
-        path = isinstance(value, str) and os.path.join(directory, value)
-        if not (path and os.path.basename(value) == value
-                and os.path.isfile(path) and not os.path.islink(path)):
-            return f"{name} must name a file in {directory}, got {value!r}"
-    return rule
-
-
 # ---------------------------------------------------------------------------
 # cameras
 
@@ -270,10 +260,10 @@ class PointRepresentation:
     and the floating ones finite.
 
     The constructor checks all four arrays, and every point set computed
-    anew, pooled points included, goes through it. ``take`` and
-    ``with_features`` build on rows of a representation that is already
-    checked: ``take`` checks nothing, ``with_features`` only the new features
-    it is given.
+    anew, pooled points included, goes through it. :func:`assemble` checks
+    the rows of each view as it reads them, and ``take`` and ``with_features``
+    build on rows already checked: ``take`` checks nothing, ``with_features``
+    only the new features it is given.
     """
 
     positions: np.ndarray
@@ -354,18 +344,18 @@ def view_points(views) -> list:
             for i, (depth, camera, _, _) in enumerate(views)]
 
 
-def _open_payload(data, files: ExitStack):
+def _open_payload(data, files: ExitStack, view: str):
     """A per-pixel payload given as an array, or as the path of its tensor
-    container: (shape, fill), where ``fill(rows)`` copies the payload into
-    ``rows``, which hold as many elements. A path is opened on ``files`` and
-    its header checked here; ``fill`` reads its payload. An error names the
-    file."""
+    container: (name, shape, fill), where ``name`` is the path, else ``view``,
+    and ``fill(rows)`` copies the payload into ``rows``, which hold as many
+    elements. A path is opened on ``files`` and its header checked here;
+    ``fill`` reads its payload. An error names the file."""
     if not isinstance(data, str):
         data = np.asarray(data)
-        return data.shape, lambda rows: np.copyto(rows, data.reshape(rows.shape), "unsafe")
+        return view, data.shape, lambda rows: np.copyto(rows, data.reshape(rows.shape), "unsafe")
     fh = files.enter_context(open(data, "rb"))
     dtype, shape, start = named(data, _read_header, fh)
-    return tuple(shape), lambda rows: named(data, _read_payload, fh, rows, dtype, start)
+    return data, tuple(shape), lambda rows: named(data, _read_payload, fh, rows, dtype, start)
 
 
 def assemble(views) -> PointRepresentation:
@@ -376,7 +366,8 @@ def assemble(views) -> PointRepresentation:
     the path of their tensor container, read here straight into the rows of
     the concatenated arrays, which are allocated once. Feature width must
     agree across views; view_of records each point's position in the input
-    sequence.
+    sequence. A colour outside [0, 1] (NaN included) or a non-finite feature
+    is an InputError that names its file, or its view for an array.
     """
     if len(views) == 0:
         raise InputError("assemble needs at least one view")
@@ -390,9 +381,10 @@ def assemble(views) -> PointRepresentation:
             raise InputError(f"view {i}: depth map {np.shape(depth)} has no pixels")
         rows = slice(end, end + m)
         end += m
-        with ExitStack() as files:
-            colors_shape, fill_colors = _open_payload(colors, files)
-            shape, fill_features = _open_payload(features, files)
+        # a payload value past its array's range narrows to inf, rejected below
+        with ExitStack() as files, np.errstate(over="ignore"):
+            color_name, colors_shape, fill_colors = _open_payload(colors, files, f"view {i}")
+            feature_name, shape, fill_features = _open_payload(features, files, f"view {i}")
             if (math.prod(colors_shape) != 3 * m or len(shape) < 2
                     or math.prod(shape[:-1]) != m):
                 raise InputError(
@@ -400,8 +392,9 @@ def assemble(views) -> PointRepresentation:
                     f"need one row per pixel of the {np.shape(depth)} depth map"
                 )
             fill_colors(all_colors[rows])
-            if all_colors[rows].min() < 0.0 or all_colors[rows].max() > 1.0:
-                raise InputError(f"view {i}: colors must lie in [0, 1]")
+            # a NaN fails both comparisons
+            if not (all_colors[rows].min() >= 0.0 and all_colors[rows].max() <= 1.0):
+                raise InputError(f"{color_name}: colors must lie in [0, 1]")
             if all_features is None:
                 all_features = np.empty((len(all_colors), shape[-1]), np.float32)
             elif shape[-1] != all_features.shape[1]:
@@ -409,8 +402,11 @@ def assemble(views) -> PointRepresentation:
                     f"view {i}: feature width {shape[-1]} != {all_features.shape[1]} of view 0"
                 )
             fill_features(all_features[rows])
+            named(feature_name, _check_finite, "features", all_features[rows])
     view_of = np.repeat(np.arange(len(views), dtype=np.int32), sizes)
-    return PointRepresentation(np.concatenate(parts_pos), all_features, all_colors, view_of)
+    # unproject checked the positions and the loop every colour and feature
+    return PointRepresentation._unchecked(np.concatenate(parts_pos), all_features,
+                                          all_colors, view_of)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,90 @@ def test_checkpoint_value_that_is_not_a_finite_float32_exits_4(tmp_path, capsys,
                  "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 4
     assert capsys.readouterr().err == (f"error: block0/w_k: {part} holds a value that "
                                        f"is not a finite float32\n")
+
+
+def _name_another_layers_files(ckpt):
+    # same shapes as block0/w_q's own files, so only the names can tell
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["params"]["block0/w_q"].update(weight="block0__w_k.weight.tns",
+                                            bias="block1__w_q.bias.tns")
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _link_a_derived_name(ckpt):
+    # the manifest is untouched; the file it names is a symlink to the moved original
+    moved = shutil.move(ckpt / "block0__w_q.weight.tns", ckpt.parent / "w_q.tns")
+    os.symlink(moved, ckpt / "block0__w_q.weight.tns")
+
+
+@pytest.mark.parametrize("edit", [_name_another_layers_files, _link_a_derived_name],
+                         ids=["another-layers-files", "symlink-at-derived-name"])
+def test_checkpoint_reads_only_the_files_it_writes(tmp_path, capsys, edit):
+    scene = _gen(tmp_path)
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    edit(ckpt)
+    capsys.readouterr()
+    assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 4
+    assert capsys.readouterr().err.startswith("error: block0/w_q: ")
+    assert not (tmp_path / "o").exists()
+
+
+# a value assemble must reject in one view's payload: the view, the file, its
+# dtype and the value written over its first element
+BAD_PAYLOADS = {
+    "f64-feature-past-f32": ("view_1", "feature.tns", np.float64, 1e300),
+    "nan-feature": ("view_1", "feature.tns", np.float32, np.nan),
+    "nan-color": ("view_0", "color.tns", np.float32, np.nan),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PAYLOADS)
+def test_a_bad_payload_value_exits_2_naming_its_view_and_file(tmp_path, capsys, case):
+    view, name, dtype, value = BAD_PAYLOADS[case]
+    scene = _gen(tmp_path, res="8x8")
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    path = scene / view / name
+    values = read_tensor(path).astype(dtype)
+    values.flat[0] = value
+    write_tensor(path, values)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                     "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 2
+    what = ("colors must lie in [0, 1]" if name == "color.tns"
+            else "features contain non-finite values")
+    assert capsys.readouterr().err == f"error: {path}: {what}\n"
+
+
+def test_a_span_past_float64_exits_3_on_every_fitted_grid(tmp_path, capsys):
+    # cameras at x = +-1e308 put the points' extent past float64 range; with
+    # no cell in the config, select-views, serialize and forward all fit a grid
+    scene = _gen(tmp_path, res="4x4")
+    for i, x in enumerate([1e308, -1e308]):
+        camera = scene / f"view_{i}" / "camera.json"
+        record = json.loads(camera.read_text())
+        record["cam_to_world"] = [1, 0, 0, x, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
+        camera.write_text(json.dumps(record))
+    cfg = _write_cfg(tmp_path / "cfg.json", cell=None)
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    capsys.readouterr()
+    for args in (["select-views", "--scene", str(scene), "--max-views", "1"],
+                 ["serialize", "--scene", str(scene), "--out", str(tmp_path / "c.tns"),
+                  "--config", cfg],
+                 ["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                  "--out-dir", str(tmp_path / "o"), "--config", cfg]):
+        assert main(args) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3 and len(set(lines)) == 1
+    assert lines[0].startswith("error: points span [-1e+308, ")
+    assert lines[0].endswith(", past float64 range")
 
 
 # one payload per way decoding a JSON object can fail

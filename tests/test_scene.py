@@ -190,6 +190,19 @@ def test_assemble_rejects_payload_sizes_unlike_the_depth_map():
             scene.assemble([views[0], bad])
 
 
+@pytest.mark.parametrize("part, value", [(3, 1e300), (3, np.nan), (2, np.nan)],
+                         ids=["f64-feature-past-f32", "nan-feature", "nan-color"])
+def test_assemble_names_the_view_of_a_bad_array_value_without_warning(part, value):
+    views = [list(view) for view in _tiny_views(2, res=4, width=6)]
+    views[1][part] = np.array(views[1][part], dtype=np.float64)
+    views[1][part].flat[0] = value
+    what = "colors must lie in" if part == 2 else "features contain non-finite values"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^view 1: {what}"):
+            scene.assemble(views)
+
+
 def test_point_representation_take_and_validation():
     rep = scene.assemble(_tiny_views(1))
     perm = np.arange(len(rep))[::-1]

@@ -103,7 +103,7 @@ def _random_instance(seed, n_sets, universe, max_size):
 
 @given(st.integers(min_value=0, max_value=2**62), st.integers(min_value=1, max_value=8))
 @settings(max_examples=200, deadline=None)
-def test_heap_selection_matches_naive_rescan(seed, budget):
+def test_array_selection_matches_naive_rescan(seed, budget):
     cands = _random_instance(seed, n_sets=12, universe=30, max_size=9)
     fast = vs.select(cands, max_views=budget)
     slow = vs.naive_greedy(cands, max_views=budget)

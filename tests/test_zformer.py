@@ -166,41 +166,60 @@ def _assert_chunked_matches_loop(dtype, tol, n, n_heads, last_every=2, max_score
     _assert_kernel_matches_loop(cfg, q, k, v, selection, tol, bounded)
 
 
+# Each kernel-oracle family runs at the kernel's 256-key tiles and with them
+# cut to 64 and 32 keys: the k=4 blocks of 32 that _topk_inputs selects then
+# run as one, 2 and 4 tiles, so the accumulator, the padded block and the
+# running row max span tiles.
+in_tiles = pytest.mark.parametrize("tile_keys", [256, 64, 32])
+
+
+@in_tiles
 @pytest.mark.parametrize("n_heads", [1, 2])
 @pytest.mark.parametrize("n", [256, 250, 225])  # 225 leaves a one-row final block
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
-def test_topk_chunked_path_matches_loop_path(dtype, tol, n, n_heads):
+def test_topk_chunked_path_matches_loop_path(monkeypatch, tile_keys, dtype, tol, n,
+                                             n_heads):
+    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
     _assert_chunked_matches_loop(dtype, tol, n, n_heads)
 
 
+@in_tiles
 @pytest.mark.parametrize("chunk_blocks", [1, 3])
 @pytest.mark.parametrize("n_heads", [1, 2])
 @pytest.mark.parametrize("n", [256, 225])
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
-def test_topk_chunked_matches_loop_across_chunks(monkeypatch, dtype, tol, n, n_heads,
-                                                 chunk_blocks):
+def test_topk_chunked_matches_loop_across_chunks(monkeypatch, tile_keys, dtype, tol, n,
+                                                 n_heads, chunk_blocks):
     # a budget of chunk_blocks query blocks (gathered keys, values and scores
-    # of k=4 blocks of 32 rows, width 8): the 8 blocks run as 3 + 3 + 2 or one
-    # at a time, and query block 0, in the first chunk, selects the last block
-    per_block = 4 * 32 * np.dtype(dtype).itemsize * (2 * 8 + 32)
+    # of one tile, at most the k=4 blocks of 32 rows, width 8): the 8 blocks
+    # run as 3 + 3 + 2 or one at a time, every chunk through every tile, and
+    # query block 0, in the first chunk, selects the last block
+    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
+    per_block = min(tile_keys, 4 * 32) * np.dtype(dtype).itemsize * (2 * 8 + 32)
     monkeypatch.setattr(zformer, "_CHUNK_BYTES", chunk_blocks * per_block)
     _assert_chunked_matches_loop(dtype, tol, n, n_heads)
 
 
+@in_tiles
 @pytest.mark.parametrize("n_heads", [1, 2])
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
-def test_topk_chunked_matches_loop_with_one_dominant_key(dtype, tol, n_heads):
+def test_topk_chunked_matches_loop_with_one_dominant_key(monkeypatch, tile_keys, dtype, tol,
+                                                        n_heads):
     # scaled scores reach +-80, so exp of the shifted scores spans the whole
     # float32 range before the deferred division by the row sums; the score
-    # bound fails, so the kernel takes the max-shift softmax
+    # bound fails, so the kernel takes the max-shift softmax. In cut tiles each
+    # row's top key lies in one tile, so the running max rises across the
+    # tiles and the accumulator is rescaled
+    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
     _assert_chunked_matches_loop(dtype, tol, 250, n_heads, max_score=80.0, bounded=False)
 
 
+@in_tiles
 @pytest.mark.parametrize("side", [-0.05, 0.05, 20.0])
 @pytest.mark.parametrize("n_heads", [1, 2])
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
-def test_topk_chunked_matches_loop_on_both_sides_of_the_score_bound(dtype, tol, n_heads,
-                                                                    side):
+def test_topk_chunked_matches_loop_on_both_sides_of_the_score_bound(monkeypatch, tile_keys,
+                                                                    dtype, tol, n_heads, side):
     # n = 225 leaves a one-row final block. In each head, the query row of
     # largest norm gets a key parallel to it with k's largest norm, so one
     # score reaches the Cauchy-Schwarz bound; q is then scaled so the bound
@@ -208,6 +227,7 @@ def test_topk_chunked_matches_loop_on_both_sides_of_the_score_bound(dtype, tol, 
     # no-max softmax, exp within e^0.05 of its largest allowed value), 0.05
     # above it (the max shift) or 20 above it, where float32 exp of the top
     # score would overflow without the shift
+    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
     cfg, q, k, v, selection = _topk_inputs(dtype, 225, n_heads)
     slices, scale = zformer._head_slices(cfg)
     q, k = q.copy(), k.copy()
@@ -230,16 +250,18 @@ def test_topk_chunked_matches_loop_on_both_sides_of_the_score_bound(dtype, tol, 
         assert not zformer._scores_are_bounded(*blocks, n_heads, keys)
 
 
+@in_tiles
 @pytest.mark.parametrize("n_heads", [1, 2])
 @pytest.mark.parametrize("dtype,tol,top,v_max", [(np.float32, 5e-6, -110.0, 0.01),
                                                  (np.float64, 1e-12, -800.0, None)])
 def test_topk_chunked_matches_loop_when_every_score_underflows(
-        dtype, tol, top, v_max, n_heads):
+        monkeypatch, tile_keys, dtype, tol, top, v_max, n_heads):
     # n = 225 leaves a one-row final block, and every query block selects it.
     # Each head's keys lie near a unit vector u and its queries near -c·u, so
     # every natural score is at most `top`, where exp underflows to 0: the
     # kernel takes the max shift. A zero padded key would score 0, above every
     # real key, and set its rows' max; their real weights would then underflow
+    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
     cfg, q, k, v, selection = _topk_inputs(dtype, 225, n_heads, last_every=1)
     slices, scale = zformer._head_slices(cfg)
     q, k = q.copy(), k.copy()
@@ -256,11 +278,13 @@ def test_topk_chunked_matches_loop_when_every_score_underflows(
         _assert_kernel_matches_loop(cfg, q, k, v, selection, tol, bounded=False)
 
 
+@in_tiles
 @pytest.mark.parametrize("n_heads", [1, 2])
 @pytest.mark.parametrize("n", [250, 225])  # 225 leaves a one-row final block
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
 def test_topk_chunked_matches_loop_when_every_block_selects_the_padded_one(
-        dtype, tol, n, n_heads):
+        monkeypatch, tile_keys, dtype, tol, n, n_heads):
+    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
     _assert_chunked_matches_loop(dtype, tol, n, n_heads, last_every=1)
 
 
@@ -280,80 +304,6 @@ def test_topk_chunked_working_set_is_cache_sized():
     finally:
         tracemalloc.stop()
     assert peak < 16e6, f"top-k kernel peak allocation {peak / 1e6:.1f} MB"
-
-
-# The kernel tests above again, with the kernel's tiles cut to 32 and 64 keys:
-# the k=4 blocks of 32 that _topk_inputs selects then run as 4 and 2 tiles,
-# so the accumulator, the padded block and the running row max span tiles.
-in_tiles = pytest.mark.parametrize("tile_keys", [32, 64])
-
-
-@in_tiles
-@pytest.mark.parametrize("n_heads", [1, 2])
-@pytest.mark.parametrize("n", [256, 250, 225])
-@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
-def test_topk_tiles_match_loop(monkeypatch, tile_keys, dtype, tol, n, n_heads):
-    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
-    test_topk_chunked_path_matches_loop_path(dtype, tol, n, n_heads)
-
-
-@in_tiles
-@pytest.mark.parametrize("chunk_blocks", [1, 3])
-@pytest.mark.parametrize("n_heads", [1, 2])
-@pytest.mark.parametrize("n", [256, 225])
-@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
-def test_topk_tiles_match_loop_across_chunks(monkeypatch, tile_keys, dtype, tol, n,
-                                             n_heads, chunk_blocks):
-    # a budget of chunk_blocks query blocks, each with one tile of gathered
-    # keys, values and scores (width 8): the 8 blocks run as 3 + 3 + 2 or one
-    # at a time, every chunk through every tile
-    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
-    per_block = tile_keys * np.dtype(dtype).itemsize * (2 * 8 + 32)
-    monkeypatch.setattr(zformer, "_CHUNK_BYTES", chunk_blocks * per_block)
-    _assert_chunked_matches_loop(dtype, tol, n, n_heads)
-
-
-@in_tiles
-@pytest.mark.parametrize("n_heads", [1, 2])
-@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
-def test_topk_tiles_match_loop_with_one_dominant_key(monkeypatch, tile_keys, dtype, tol,
-                                                    n_heads):
-    # each row's top key lies in one tile, so the running max rises across
-    # the tiles and the accumulator is rescaled
-    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
-    test_topk_chunked_matches_loop_with_one_dominant_key(dtype, tol, n_heads)
-
-
-@in_tiles
-@pytest.mark.parametrize("side", [-0.05, 0.05, 20.0])
-@pytest.mark.parametrize("n_heads", [1, 2])
-@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
-def test_topk_tiles_match_loop_on_both_sides_of_the_score_bound(monkeypatch, tile_keys,
-                                                                dtype, tol, n_heads, side):
-    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
-    test_topk_chunked_matches_loop_on_both_sides_of_the_score_bound(dtype, tol, n_heads, side)
-
-
-@in_tiles
-@pytest.mark.parametrize("n_heads", [1, 2])
-@pytest.mark.parametrize("dtype,tol,top,v_max", [(np.float32, 5e-6, -110.0, 0.01),
-                                                 (np.float64, 1e-12, -800.0, None)])
-def test_topk_tiles_match_loop_when_every_score_underflows(
-        monkeypatch, tile_keys, dtype, tol, top, v_max, n_heads):
-    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
-    test_topk_chunked_matches_loop_when_every_score_underflows(
-        dtype, tol, top, v_max, n_heads)
-
-
-@in_tiles
-@pytest.mark.parametrize("n_heads", [1, 2])
-@pytest.mark.parametrize("n", [250, 225])
-@pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-6), (np.float64, 1e-12)])
-def test_topk_tiles_match_loop_when_every_block_selects_the_padded_one(
-        monkeypatch, tile_keys, dtype, tol, n, n_heads):
-    monkeypatch.setattr(zformer, "_TILE_KEYS", tile_keys)
-    test_topk_chunked_matches_loop_when_every_block_selects_the_padded_one(
-        dtype, tol, n, n_heads)
 
 
 def test_topk_chunk_stays_within_its_budget_at_any_k():
