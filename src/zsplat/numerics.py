@@ -6,13 +6,11 @@ everywhere: a product accumulates in its operands' dtype. Inference runs in
 float32 (linear layers, attention scores and values, activations); callers
 that pass float64 operands, the reference implementations and the gradient
 oracles, get float64 end to end. Constants are python floats, which take the
-array's dtype instead of promoting it. ``segment_sums``, the reduction
-over contiguous runs of rows of any length (the Z-order cluster means of
-pooling), follows the same rule: it adds each segment's rows in row order
-in the rows' dtype, so float32 rows are summed in float32. Runs of a fixed
-length (block means and the group branch's gradient) are summed by
-``zformer._block_sums`` under the same rule, in row order on rows wider
-than one column.
+array's dtype instead of promoting it. ``segment_sums``, the one reduction
+over contiguous runs of rows (the Z-order cluster means of pooling, block
+means and the group branch's gradient), follows the same rule: it adds each
+segment's rows in row order onto +0.0 in the rows' dtype, so float32 rows
+are summed in float32, at every width.
 
 The activations keep the input dtype. ``sigmoid`` is a tanh form, exact to
 about one float32 or float64 rounding. ``erf`` (and so ``gelu`` and
@@ -92,19 +90,21 @@ def softmax_rows_backward(grad: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def segment_sums(arrays, starts: np.ndarray) -> list:
-    """Per array ``x`` of ``arrays`` (one row count), row i of the result is
+    """Per array ``x`` of ``arrays``, each n x width, row i of the result is
     ``x[starts[i]:starts[i+1]].sum(0)`` in ``x``'s dtype, the last segment
     running to the end. The starts are checked and the plan built once.
 
-    Each segment's rows are added in row order onto a zero, so the result is
-    bit-equal to a per-segment loop ``acc = 0; acc += row``. Segments of at
-    most ``_SHORT_SEGMENT`` rows are ordered longest first and step p adds
-    row p of every one longer than p, a prefix of that order; each longer
-    segment is summed by one numpy reduction. The Python-level steps are at
-    most ``_SHORT_SEGMENT`` plus one per longer segment: fewer than
-    ``64 + len(x) / 65`` whatever the lengths.
-    ``starts`` must begin at 0, rise strictly and stay below the row count:
-    every segment holds at least one row."""
+    Each segment's rows are added in row order onto +0.0, at every width, so
+    the result is bit-equal to a per-segment loop ``acc = 0; acc += row``.
+    Where every segment but the last has one length, as blocks cut rows, they
+    are one numpy reduction down the middle axis of a (segments, length,
+    width) view and the last is one more. Otherwise segments of at most
+    ``_SHORT_SEGMENT`` rows are ordered longest first and step p adds row p of
+    every one longer than p, a prefix of that order; each longer segment is
+    one numpy reduction. The Python-level steps are at most ``_SHORT_SEGMENT``
+    plus one per longer segment: fewer than ``64 + len(x) / 65`` whatever the
+    lengths. ``starts`` must begin at 0, rise strictly and stay below the row
+    count: every segment holds at least one row."""
     arrays = [np.ascontiguousarray(x) for x in arrays]
     starts = np.asarray(starts)
     n = arrays[0].shape[0]
@@ -117,7 +117,13 @@ def segment_sums(arrays, starts: np.ndarray) -> list:
             f"segment starts must be integers rising strictly from 0 below {n}"
         )
     lengths = np.diff(starts, append=n)
-    short = np.flatnonzero(lengths <= _SHORT_SEGMENT)
+    # numpy reductions, each over `count` consecutive segments of one length
+    # from segment `i`: blocks take two, other layouts one per long segment
+    if (lengths[:-1] == lengths[0]).all():
+        short, runs = np.empty(0, np.int64), [(0, len(starts) - 1), (len(starts) - 1, 1)]
+    else:
+        short = np.flatnonzero(lengths <= _SHORT_SEGMENT)
+        runs = [(i, 1) for i in np.flatnonzero(lengths > _SHORT_SEGMENT)]
     # stable, so each step's gather walks x forward
     order = short[np.argsort(-lengths[short], kind="stable")]
     first, longest_first = starts[order], lengths[order]
@@ -130,17 +136,19 @@ def segment_sums(arrays, starts: np.ndarray) -> list:
         rows = first[:k] + p
         for s, x in zip(sums, arrays):
             s[:k] += x[rows]
-    long = np.flatnonzero(lengths > _SHORT_SEGMENT)
     out = []
     for x in arrays:
-        total = np.empty((len(starts),) + x.shape[1:], x.dtype)
+        total = np.empty((len(starts), x.shape[1]), x.dtype)
         total[order] = sums.pop(0)  # each step sum is freed once scattered
-        for i in long:
-            seg = x[starts[i]:starts[i] + lengths[i]]
-            # numpy reduces a C-ordered array down its rows in row order (from
-            # +0.0) but sums a single column pairwise; a running sum is in row
-            # order by definition
-            total[i] = seg.sum(axis=0) if seg[0].size > 1 else 0.0 + np.add.accumulate(seg)[-1]
+        for i, count in runs:
+            a, length = starts[i], lengths[i]
+            seg = x[a:a + count * length].reshape(count, length, x.shape[1])
+            # numpy sums down the rows in row order from +0.0, but one column
+            # pairwise; a running sum is in row order by definition
+            if x.shape[1] > 1:
+                seg.sum(axis=1, out=total[i:i + count])
+            else:
+                total[i:i + count] = 0.0 + np.add.accumulate(seg, axis=1)[:, -1]
         out.append(total)
     return out
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import CheckpointError, ConfigError, RangeError
+from .errors import CheckpointError, ConfigError, FormatError, RangeError
 from .gaussian_head import HeadParams, predict
 from .morton import Quantizer, bounding_box
 from .numerics import LinearLayer, derive_seed
@@ -169,7 +169,8 @@ def save_checkpoint(model: ModelParams, path) -> int:
 
 def _read_layer(path, entry, name: str, shape) -> LinearLayer:
     """Layer ``name`` from its :func:`_layer_files`, which ``entry`` must name:
-    regular files, not symlinks, of a ``shape`` weight and a ``shape[:1]`` bias."""
+    regular files, not symlinks, of a ``shape`` weight and a ``shape[:1]`` bias.
+    A file ``read_tensor`` rejects is a ``CheckpointError`` naming both."""
     if not isinstance(entry, dict):
         raise CheckpointError(f"{name}: manifest entry must be a JSON object")
     files = _layer_files(name)
@@ -182,7 +183,10 @@ def _read_layer(path, entry, name: str, shape) -> LinearLayer:
         file_path = os.path.join(path, file)
         if os.path.islink(file_path) or not os.path.isfile(file_path):
             raise CheckpointError(f"{name}: {file_path} is not a regular file")
-        values = read_tensor(file_path)
+        try:
+            values = read_tensor(file_path)
+        except FormatError as exc:
+            raise CheckpointError(f"{name}: {file_path}: {exc}") from exc
         if values.shape != want:
             raise CheckpointError(f"{name}: {part} shape {values.shape} != {want} for this config")
         with np.errstate(over="ignore"):  # a value past float32 range casts to inf

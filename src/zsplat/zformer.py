@@ -4,7 +4,7 @@ A block runs on features in Z-curve order (``morton.z_order``):
 
 1. group attention — queries/keys/values (one projection, shared with top-k)
    are mean-pooled over contiguous blocks of ``block_len`` tokens, each mean a
-   sum over a strided view of the Z-sorted rows; block-level softmax
+   ``numerics.segment_sums`` run of the Z-sorted rows; block-level softmax
    attention produces both a coarse output and the block affinities;
 2. top-k attention — each query block attends to the raw tokens of the k
    blocks its affinity row ranks highest (its own block always included), so
@@ -72,7 +72,9 @@ from .scene import check_fields, integer, one_of
 # each with one tile of its selected keys: about half of one core's 2 MB L2,
 # so a chunk's tiles stay in cache from the gather through both products and
 # the softmax. A chunk's floor, one query block with one tile, takes at most
-# _TILE_KEYS·(2·width + block_len) values: 224 KiB at width 96, block_len 32
+# _TILE_KEYS·(2·width + block_len) values while block_len <= _TILE_KEYS: 224 KiB
+# at width 96, block_len 32. Above that a tile is one block, and the floor is
+# block_len·(2·width + block_len) values
 _CHUNK_BYTES = 2**20
 
 # keys per tile of a query block's selected slots (see _topk_chunks), whole
@@ -193,29 +195,13 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
-def _block_sums(x: np.ndarray, block_len: int) -> np.ndarray:
-    """Sums over contiguous blocks of ``block_len`` rows, the last block
-    possibly short, in ``x``'s dtype.
-
-    The whole blocks are one reduction down the middle axis of an
-    (blocks, block_len, width) view, which numpy adds row by row from +0.0, as
-    ``numerics.segment_sums`` does (a one-column ``x`` is summed pairwise)."""
-    n, width = x.shape
-    m = n // block_len
-    sums = np.empty((-(-n // block_len), width), x.dtype)
-    x[: m * block_len].reshape(m, block_len, width).sum(axis=1, out=sums[:m])
-    if n % block_len:
-        x[m * block_len :].sum(axis=0, out=sums[m])
-    return sums
-
-
 def block_pool(x: np.ndarray, block_len: int) -> np.ndarray:
-    """Mean over contiguous blocks of rows; a short final block averages over
-    its actual length."""
+    """Mean over contiguous blocks of rows, summed by ``segment_sums``; a short
+    final block averages over its actual length."""
     n = x.shape[0]
     if n == 0:
         raise InputError("cannot block-pool zero rows")
-    sums = _block_sums(x, block_len)
+    sums = segment_sums([x], np.arange(0, n, block_len))[0]
     return sums / _block_counts(n, block_len)[:, None].astype(sums.dtype)
 
 
@@ -296,7 +282,7 @@ def group_attention_bwd(g_out: np.ndarray, cache: dict) -> np.ndarray:
     its head-space output. No gradient flows out of w_blocks (its only
     consumer, the top-k ranking, is frozen)."""
     counts = cache["counts"]
-    g_block_out = _block_sums(g_out, cache["block_len"])
+    g_block_out = segment_sums([g_out], np.arange(0, len(g_out), cache["block_len"]))[0]
     qb, kb, vb = np.split(cache["pooled"], 3, axis=1)
     g_pooled = np.zeros_like(cache["pooled"])
     g_qb, g_kb, g_vb = np.split(g_pooled, 3, axis=1)
@@ -417,7 +403,8 @@ def _scores_are_bounded(q_blocks, k_blocks, v_blocks, n_heads: int, keys: int) -
 def _topk_layout(q, k, v, cfg):
     """The kernel's block arrays of ``n`` tokens: (q_blocks, k_blocks,
     v_blocks), each (n_blocks, block_len, ·), a ragged final block padded to
-    a whole one.
+    a whole one. A level shorter than ``cfg.block_len`` is one block of its
+    own rows, as the group branch and the selection count it.
 
     q, k and v arrive as strided column views of the stacked projection; they
     are copied once, so every gathered key/value block is one contiguous run,
@@ -433,7 +420,7 @@ def _topk_layout(q, k, v, cfg):
     A caller that holds nothing else of q, k and v can release them before
     ``_topk_chunks`` runs; neither step writes to an array it is given."""
     n, width = q.shape
-    block_len = cfg.block_len
+    block_len = min(cfg.block_len, n)
     n_blocks = -(-n // block_len)
     slices, scale = _head_slices(cfg)
     n_heads, dh = len(slices), width // len(slices)

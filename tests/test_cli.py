@@ -365,6 +365,41 @@ def test_checkpoint_reads_only_the_files_it_writes(tmp_path, capsys, edit):
     assert not (tmp_path / "o").exists()
 
 
+def _cut_to_100_bytes(path):
+    with open(path, "r+b") as fh:
+        fh.truncate(100)
+
+
+def _write_garbage(path):
+    path.write_bytes(b"garbage")
+
+
+# a layer file the tensor reader rejects: the layer, its file, the edit and
+# the reader's message
+DAMAGED_LAYER_FILES = {
+    "truncated": ("block0/w_q", "block0__w_q.weight.tns", _cut_to_100_bytes,
+                  "header implies 2048 (byte offset 100)"),
+    "garbage": ("head/hidden", "head__hidden.bias.tns", _write_garbage,
+                "missing header newline (byte offset 7)"),
+}
+
+
+@pytest.mark.parametrize("case", DAMAGED_LAYER_FILES)
+def test_a_damaged_layer_file_exits_4_naming_its_layer_and_file(tmp_path, capsys, case):
+    layer, file, damage, reason = DAMAGED_LAYER_FILES[case]
+    scene = _gen(tmp_path, res="8x8")
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    damage(ckpt / file)
+    capsys.readouterr()
+    assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {layer}: {ckpt / file}: ") and err.endswith(f"{reason}\n")
+    assert not (tmp_path / "o").exists()
+
+
 # a value assemble must reject in one view's payload: the view, the file, its
 # dtype and the value written over its first element
 BAD_PAYLOADS = {

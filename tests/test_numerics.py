@@ -126,7 +126,8 @@ def test_segment_sum_is_bit_equal_to_sequential_loop(case):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("width", [1, 2, 96])
-@pytest.mark.parametrize("layout", ["one-segment", "length-1", "past-cutoff", "mixed"])
+@pytest.mark.parametrize("layout", ["one-segment", "length-1", "past-cutoff", "mixed",
+                                    "blocks", "blocks-exact"])
 def test_segment_sum_is_bit_equal_on_degenerate_layouts(layout, width, dtype):
     n, cut = 1000, numerics._SHORT_SEGMENT
     x = ((numerics.uniform01(81, n * width) * 2 - 1) * 1e3).reshape(n, width).astype(dtype)
@@ -137,6 +138,9 @@ def test_segment_sum_is_bit_equal_on_degenerate_layouts(layout, width, dtype):
         "length-1": range(n),
         "past-cutoff": range(0, n, cut + 1),
         "mixed": [0, 1, 2, 3 + cut, 4 + cut, 5 + 3 * cut, 6 + 3 * cut],
+        # block means: 31 runs of 32 and a short last run of 8, then 25 of 40
+        "blocks": range(0, n, 32),
+        "blocks-exact": range(0, n, 40),
     }[layout]
     starts = np.array(starts, dtype=np.int64)
     _assert_bit_equal(numerics.segment_sums([x], starts)[0], _sequential_sums(x, starts))

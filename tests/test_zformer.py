@@ -711,6 +711,25 @@ def test_zformer_block_is_deterministic():
     assert np.array_equal(ca, cb)
 
 
+def test_a_level_shorter_than_block_len_is_one_block_of_its_own_rows():
+    # padded to one whole block of 4096 rows, these 128 points would take a
+    # 4096 x 4096 float32 score buffer, 64 MiB
+    rep = _rep(128, 96, seed=157, span=16.0)
+    quant = Quantizer(np.zeros(3), 1.0, 5)
+    params = _params(zformer.AttentionConfig())
+    want = zformer.zformer_block(rep, quant, params, zformer.AttentionConfig(block_len=128))
+    tracemalloc.start()
+    try:
+        got = zformer.zformer_block(rep, quant, params, zformer.AttentionConfig(block_len=4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[1].tobytes() == want[1].tobytes()
+    for name in ("positions", "features", "colors", "view_of"):
+        assert getattr(got[0], name).tobytes() == getattr(want[0], name).tobytes(), name
+    assert peak < 2**20, f"block peak {peak / 2**20:.2f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # gradients (hand-written backward vs central differences)
 
