@@ -42,6 +42,7 @@ from .scene import (
     integer,
     load_scene_dir,
     read_json_object,
+    refuse_stale,
     view_points,
     write_gaussians_ply,
     write_scene_dir,
@@ -116,6 +117,8 @@ def cmd_serialize(args) -> int:
 
 def cmd_forward(args) -> int:
     cfg = _load_config(args)
+    names = [f"level_{i + 1}.ply" for i in range(cfg.n_blocks)]
+    refuse_stale(args.out_dir, names, "level_", ".ply")
     model = load_checkpoint(args.checkpoint, cfg)
     views = load_scene_dir(args.scene)
     rep = assemble(views)
@@ -127,9 +130,8 @@ def cmd_forward(args) -> int:
     gaussians = predict_levels(levels, model)
     os.makedirs(args.out_dir, exist_ok=True)
     sizes = []
-    for i, g in enumerate(gaussians):
-        out = os.path.join(args.out_dir, f"level_{i + 1}.ply")
-        write_gaussians_ply(out, g)
+    for name, g in zip(names, gaussians):
+        write_gaussians_ply(os.path.join(args.out_dir, name), g)
         sizes.append(len(g))
     print(
         f"{len(rep)} points -> "
@@ -145,14 +147,14 @@ def cmd_select_views(args) -> int:
     candidates = build_candidates(point_sets, quant)
     result = select(candidates, args.max_views, args.min_gain)
     result.validate()
-    print(
-        f"selected views: {' '.join(str(i) for i in result.selected)} "
-        f"(covering {result.covered} cells at depth {args.depth})"
-    )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(asdict(result), fh, indent=2)
             fh.write("\n")
+    print(
+        f"selected views: {' '.join(str(i) for i in result.selected)} "
+        f"(covering {result.covered} cells at depth {args.depth})"
+    )
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import linear, softmax_rows
-from .zformer import AttentionConfig, ZFormerParams, _block_counts, _head_slices
+from .zformer import AttentionConfig, ZFormerParams, _head_slices
 
 
 def encode_reference(x: int, y: int, z: int, depth: int) -> int:
@@ -70,15 +70,13 @@ def topk_gather_reference(f: np.ndarray, params: ZFormerParams,
     k = linear(f, params64.w_k)
     v = linear(f, params64.w_v)
     n = f.shape[0]
-    counts = _block_counts(n, cfg.block_len)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    blocks = [range(start, min(start + cfg.block_len, n))
+              for start in range(0, n, cfg.block_len)]
     slices, _ = _head_slices(cfg)
     tok = np.empty_like(q)
-    for b in range(len(counts)):
-        idx = np.concatenate(
-            [np.arange(starts[s], starts[s] + counts[s]) for s in selection[b]]
-        )
-        for t in range(int(starts[b]), int(starts[b] + counts[b])):
+    for b, rows in enumerate(blocks):
+        idx = np.concatenate([np.asarray(blocks[s]) for s in selection[b]])
+        for t in rows:
             for hs in slices:
                 scores = k[idx, hs] @ q[t, hs] / np.sqrt(hs.stop - hs.start)
                 scores -= scores.max()

@@ -361,13 +361,15 @@ def _open_payload(data, files: ExitStack, view: str):
 def assemble(views) -> PointRepresentation:
     """Concatenate per-view unprojections into one representation.
 
-    ``views`` is a sequence of (depth (H, W), Camera, colors (H, W, 3),
-    features (H, W, C) or (H*W, C)) tuples; colors and features may each be
-    the path of their tensor container, read here straight into the rows of
-    the concatenated arrays, which are allocated once. Feature width must
-    agree across views; view_of records each point's position in the input
-    sequence. A colour outside [0, 1] (NaN included) or a non-finite feature
-    is an InputError that names its file, or its view for an array.
+    ``views`` is a sequence of (depth (H, W), Camera, colors, features)
+    tuples. Both payloads lead with the depth map's (H, W), or with (H*W,),
+    and end in their width: 3 for colors, C for features, which must agree
+    across views. Either may be the path of its tensor container, read here
+    straight into the rows of the concatenated arrays, which are allocated
+    once. view_of records each point's position in the input sequence. A
+    payload of another shape, a colour outside [0, 1] (NaN included) or a
+    non-finite feature is an InputError that names its file, or its view for
+    an array.
     """
     if len(views) == 0:
         raise InputError("assemble needs at least one view")
@@ -385,12 +387,13 @@ def assemble(views) -> PointRepresentation:
         with ExitStack() as files, np.errstate(over="ignore"):
             color_name, colors_shape, fill_colors = _open_payload(colors, files, f"view {i}")
             feature_name, shape, fill_features = _open_payload(features, files, f"view {i}")
-            if (math.prod(colors_shape) != 3 * m or len(shape) < 2
-                    or math.prod(shape[:-1]) != m):
-                raise InputError(
-                    f"view {i}: colors {colors_shape} and features {shape} "
-                    f"need one row per pixel of the {np.shape(depth)} depth map"
-                )
+            pixels = (np.shape(depth), (m,))
+            if colors_shape[:-1] not in pixels or colors_shape[-1:] != (3,):
+                raise InputError(f"{color_name}: colors {colors_shape} are not (H, W, 3) "
+                                 f"or (H*W, 3) for the {np.shape(depth)} depth map")
+            if shape[:-1] not in pixels:
+                raise InputError(f"{feature_name}: features {shape} are not (H, W, C) "
+                                 f"or (H*W, C) for the {np.shape(depth)} depth map")
             fill_colors(all_colors[rows])
             # a NaN fails both comparisons
             if not (all_colors[rows].min() >= 0.0 and all_colors[rows].max() <= 1.0):
@@ -541,8 +544,25 @@ def _read_payload(fh, rows: np.ndarray, dtype, start: int) -> None:
 # scene directories (view_<i>/{depth.tns, camera.json, color.tns, feature.tns})
 
 
+def refuse_stale(path, names, prefix: str, suffix: str = "") -> None:
+    """Raise InputError when directory ``path`` holds an entry named
+    ``prefix``...``suffix`` that is not one of ``names``, the entries a
+    command is about to write there: an earlier, larger run's output would
+    stay beside the new one and be read with it. Nothing is deleted, and a
+    missing directory holds nothing stale."""
+    if not os.path.isdir(path):
+        return
+    stale = sorted(d for d in os.listdir(path)
+                   if d.startswith(prefix) and d.endswith(suffix) and d not in names)
+    if stale:
+        raise InputError(f"{', '.join(stale)} under {path} would not be overwritten "
+                         f"by this run; remove or write elsewhere")
+
+
 def write_scene_dir(path, views) -> None:
-    """Write (depth, Camera, colors, features) tuples as a scene directory."""
+    """Write (depth, Camera, colors, features) tuples as a scene directory,
+    refusing one that holds another ``view_`` entry (see ``refuse_stale``)."""
+    refuse_stale(path, {f"view_{i}" for i in range(len(views))}, "view_")
     os.makedirs(path, exist_ok=True)
     for i, (depth, camera, colors, features) in enumerate(views):
         vdir = os.path.join(path, f"view_{i}")

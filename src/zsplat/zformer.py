@@ -3,9 +3,10 @@
 A block runs on features in Z-curve order (``morton.z_order``):
 
 1. group attention — queries/keys/values (one projection, shared with top-k)
-   are mean-pooled over contiguous blocks of ``block_len`` tokens, each mean a
-   ``numerics.segment_sums`` run of the Z-sorted rows; block-level softmax
-   attention produces both a coarse output and the block affinities;
+   are mean-pooled over the blocks of ``_blocks``, the one partition of a
+   level that every stage uses, each mean a ``numerics.segment_sums`` run of
+   the Z-sorted rows; block-level softmax attention produces both a coarse
+   output and the block affinities;
 2. top-k attention — each query block attends to the raw tokens of the k
    blocks its affinity row ranks highest (its own block always included), so
    the full token-by-token score matrix is never materialized; the inference
@@ -182,27 +183,23 @@ class ZFormerParams:
 # block partition helpers
 
 
-def _block_counts(n: int, block_len: int) -> np.ndarray:
-    n_blocks = (n + block_len - 1) // block_len
-    counts = np.full(n_blocks, block_len, dtype=np.int64)
-    if n % block_len:
-        counts[-1] = n % block_len
-    return counts
-
-
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """First row of each segment, given the segment lengths."""
-    return np.cumsum(counts) - counts
+def _blocks(n: int, block_len: int):
+    """The blocks of a level of ``n`` Z-sorted rows, as (starts, lengths):
+    runs of ``block_len`` consecutive rows, the last shorter when
+    ``block_len`` does not divide n, so a level shorter than ``block_len`` is
+    one block of its n rows. Every stage cuts a level through this."""
+    starts = np.arange(0, n, block_len)
+    return starts, np.diff(np.append(starts, n))
 
 
 def block_pool(x: np.ndarray, block_len: int) -> np.ndarray:
-    """Mean over contiguous blocks of rows, summed by ``segment_sums``; a short
-    final block averages over its actual length."""
-    n = x.shape[0]
-    if n == 0:
+    """Mean over the ``_blocks`` of the rows, summed by ``segment_sums``; a
+    short final block averages over its actual length."""
+    if x.shape[0] == 0:
         raise InputError("cannot block-pool zero rows")
-    sums = segment_sums([x], np.arange(0, n, block_len))[0]
-    return sums / _block_counts(n, block_len)[:, None].astype(sums.dtype)
+    starts, lengths = _blocks(x.shape[0], block_len)
+    sums = segment_sums([x], starts)[0]
+    return sums / lengths[:, None].astype(sums.dtype)
 
 
 def _unpool(g_blocks: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -248,12 +245,13 @@ def group_attention_fwd(qkv: np.ndarray, cfg: AttentionConfig):
     the Z-sorted tokens. Returns (block_out B x head, w_blocks B x B, cache).
 
     Every token's head-space output is its block's row of ``block_out``
-    (``cache["counts"]`` holds the block lengths); ``w_blocks`` is the
-    head-mean of the block softmax matrices, with one head exactly the
-    attention over pooled queries/keys. ``gated_fuse`` applies ``w_o``.
+    (``cache["starts"]`` and ``cache["lengths"]`` hold the ``_blocks``);
+    ``w_blocks`` is the head-mean of the block softmax matrices, with one
+    head exactly the attention over pooled queries/keys. ``gated_fuse``
+    applies ``w_o``.
     """
-    counts = _block_counts(qkv.shape[0], cfg.block_len)
     pooled = block_pool(qkv, cfg.block_len)
+    starts, lengths = _blocks(qkv.shape[0], cfg.block_len)
     qb, kb, vb = np.split(pooled, 3, axis=1)
     slices, scale = _head_slices(cfg)
     probs = []
@@ -265,7 +263,7 @@ def group_attention_fwd(qkv: np.ndarray, cfg: AttentionConfig):
         block_out[:, hs] = p @ vb[:, hs]
     w_blocks = probs[0] if len(probs) == 1 else sum(probs) / len(probs)
     cache = {
-        "pooled": pooled, "counts": counts, "block_len": cfg.block_len,
+        "pooled": pooled, "starts": starts, "lengths": lengths,
         "probs": probs, "scale": scale, "slices": slices,
     }
     return block_out, w_blocks, cache
@@ -274,15 +272,14 @@ def group_attention_fwd(qkv: np.ndarray, cfg: AttentionConfig):
 def group_attention(f: np.ndarray, params: ZFormerParams, cfg: AttentionConfig):
     """Group branch of the Z-sorted features ``f``: (out n x head, w_blocks)."""
     block_out, w_blocks, cache = group_attention_fwd(_tiled_linear(f, [params.qkv()])[0], cfg)
-    return np.repeat(block_out, cache["counts"], axis=0), w_blocks
+    return np.repeat(block_out, cache["lengths"], axis=0), w_blocks
 
 
 def group_attention_bwd(g_out: np.ndarray, cache: dict) -> np.ndarray:
     """Gradient of the group branch w.r.t. its ``qkv``, given the gradient of
     its head-space output. No gradient flows out of w_blocks (its only
     consumer, the top-k ranking, is frozen)."""
-    counts = cache["counts"]
-    g_block_out = segment_sums([g_out], np.arange(0, len(g_out), cache["block_len"]))[0]
+    g_block_out = segment_sums([g_out], cache["starts"])[0]
     qb, kb, vb = np.split(cache["pooled"], 3, axis=1)
     g_pooled = np.zeros_like(cache["pooled"])
     g_qb, g_kb, g_vb = np.split(g_pooled, 3, axis=1)
@@ -293,7 +290,7 @@ def group_attention_bwd(g_out: np.ndarray, cache: dict) -> np.ndarray:
         g_s = softmax_rows_backward(g_p, p) * cache["scale"]
         g_qb[:, hs] = g_s @ kb[:, hs]
         g_kb[:, hs] = g_s.T @ qb[:, hs]
-    return _unpool(g_pooled, counts)
+    return _unpool(g_pooled, cache["lengths"])
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +324,15 @@ def select_blocks(w_blocks: np.ndarray, k: int) -> np.ndarray:
 
 
 def _selection(n: int, w_blocks: np.ndarray, cfg: AttentionConfig, selection):
-    """Block counts of ``n`` tokens and the blocks each query block attends
-    to: ``selection`` when pinned, else the top-k of ``w_blocks``."""
-    counts = _block_counts(n, cfg.block_len)
-    n_blocks = len(counts)
+    """The blocks each query block of ``n`` tokens attends to: ``selection``
+    when pinned, else the top-k of ``w_blocks``."""
+    n_blocks = len(_blocks(n, cfg.block_len)[0])
     if w_blocks.shape != (n_blocks, n_blocks):
         raise InputError(
             f"w_blocks shape {w_blocks.shape} does not match {n_blocks} blocks"
         )
     if selection is None:
-        return counts, select_blocks(w_blocks, cfg.resolve_k(n_blocks))
+        return select_blocks(w_blocks, cfg.resolve_k(n_blocks))
     selection = np.asarray(selection)
     shape = selection.shape
     if len(shape) != 2 or shape[0] != n_blocks or not 1 <= shape[1] <= n_blocks:
@@ -347,24 +343,24 @@ def _selection(n: int, w_blocks: np.ndarray, cfg: AttentionConfig, selection):
         raise InputError(f"selection holds {selection.dtype}, not integer block ids")
     if selection.min() < 0 or selection.max() >= n_blocks:
         raise RangeError(f"selection block ids must lie in [0, {n_blocks})")
-    return counts, selection
+    return selection
 
 
-def _topk_loop_fwd(q, k, v, selection, counts, cfg):
+def _topk_loop_fwd(q, k, v, selection, cfg):
     """Reference path: one python iteration per query block, keeping each
     block's softmax. It builds the gradient cache and is the oracle the
     chunked kernel is checked against. q is scaled by 1/sqrt(head width)
     before the products and the softmax takes natural ``exp``; the kernel
     folds log2(e) into that scale and takes ``exp2``, so the two differ only
     in rounding."""
-    starts = _starts(counts)
+    starts, lengths = _blocks(len(q), cfg.block_len)
     slices, scale = _head_slices(cfg)
     q_scaled = q * scale
     tok_out = np.empty_like(q)
     blocks = []
-    for i in range(len(counts)):
-        rows = slice(int(starts[i]), int(starts[i] + counts[i]))
-        idx = np.concatenate([np.arange(starts[b], starts[b] + counts[b])
+    for i in range(len(starts)):
+        rows = slice(int(starts[i]), int(starts[i] + lengths[i]))
+        idx = np.concatenate([np.arange(starts[b], starts[b] + lengths[b])
                               for b in selection[i]])
         ks, vs = k[idx], v[idx]
         probs = []
@@ -402,9 +398,9 @@ def _scores_are_bounded(q_blocks, k_blocks, v_blocks, n_heads: int, keys: int) -
 
 def _topk_layout(q, k, v, cfg):
     """The kernel's block arrays of ``n`` tokens: (q_blocks, k_blocks,
-    v_blocks), each (n_blocks, block_len, ·), a ragged final block padded to
-    a whole one. A level shorter than ``cfg.block_len`` is one block of its
-    own rows, as the group branch and the selection count it.
+    v_blocks), each (n_blocks, block_len, ·), over the ``_blocks`` of the
+    level, the first block's length giving block_len and a ragged final
+    block padded to a whole one.
 
     q, k and v arrive as strided column views of the stacked projection; they
     are copied once, so every gathered key/value block is one contiguous run,
@@ -420,8 +416,8 @@ def _topk_layout(q, k, v, cfg):
     A caller that holds nothing else of q, k and v can release them before
     ``_topk_chunks`` runs; neither step writes to an array it is given."""
     n, width = q.shape
-    block_len = min(cfg.block_len, n)
-    n_blocks = -(-n // block_len)
+    lengths = _blocks(n, cfg.block_len)[1]
+    n_blocks, block_len = len(lengths), int(lengths[0])
     slices, scale = _head_slices(cfg)
     n_heads, dh = len(slices), width // len(slices)
     q_blocks, k_blocks = (
@@ -553,9 +549,9 @@ def topk_attention_fwd(
     """Sparse branch over ``qkv``, the stacked Q/K/V projections, with a
     gradient cache: the per-block loop keeps every block's softmax. Returns
     (out n x head, cache)."""
-    counts, selection = _selection(qkv.shape[0], w_blocks, cfg, selection)
+    selection = _selection(qkv.shape[0], w_blocks, cfg, selection)
     q, k, v = np.split(qkv, 3, axis=1)
-    tok_out, blocks = _topk_loop_fwd(q, k, v, selection, counts, cfg)
+    tok_out, blocks = _topk_loop_fwd(q, k, v, selection, cfg)
     slices, scale = _head_slices(cfg)
     cache = {
         "qkv": qkv, "blocks": blocks, "selection": selection,
@@ -578,7 +574,7 @@ def topk_attention(
     otherwise it is derived from ``w_blocks``. It makes ``zformer_block``'s
     calls in its order, dropping the projection once the kernel has copied it."""
     qkv = _tiled_linear(f, [params.qkv()])[0]
-    _, selection = _selection(len(f), w_blocks, cfg, selection)
+    selection = _selection(len(f), w_blocks, cfg, selection)
     blocks = _topk_layout(*np.split(qkv, 3, axis=1), cfg)
     del qkv
     return _topk_chunks(*blocks, len(f), selection, cfg)
@@ -747,7 +743,7 @@ def zformer_block_fwd(rep, quantizer: Quantizer, params: ZFormerParams,
         f = rep_s.features
         qkv = linear(f, params.qkv())
         grp_blocks, w_blocks, c_grp = group_attention_fwd(qkv, cfg)
-        grp_out = np.repeat(grp_blocks, c_grp["counts"], axis=0)
+        grp_out = np.repeat(grp_blocks, c_grp["lengths"], axis=0)
         sel_out, c_sel = topk_attention_fwd(qkv, w_blocks, cfg, selection)
         fused, c_fuse = gated_fuse_fwd(f, grp_out, sel_out, params)
         f_new = f + fused
@@ -792,7 +788,7 @@ def zformer_block(rep, quantizer, params, cfg):
         n = len(perm)
         qkv, z = _tiled_linear(rep.features, [params.qkv(), params.gate], perm)
         grp_blocks, w_blocks, _ = group_attention_fwd(qkv, cfg)
-        _, selection = _selection(n, w_blocks, cfg, None)
+        selection = _selection(n, w_blocks, cfg, None)
         blocks = _topk_layout(*np.split(qkv, 3, axis=1), cfg)
         del qkv, w_blocks
         sel_out = _topk_chunks(*blocks, n, selection, cfg)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -12,8 +13,8 @@ import pytest
 
 from zsplat import cli, errors
 from zsplat.cli import main
-from zsplat.scene import (decode_json_object, load_scene_dir, read_gaussians_ply, read_tensor,
-                          view_points, write_tensor)
+from zsplat.scene import (assemble, decode_json_object, load_scene_dir, read_gaussians_ply,
+                          read_tensor, view_points, write_tensor)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -139,6 +140,51 @@ def test_select_views_writes_selection_json(tmp_path, capsys):
     assert sum(sel["marginal_gains"]) == sel["covered"] > 0
     printed = capsys.readouterr().out
     assert "selected views:" in printed
+
+
+def test_select_views_prints_nothing_when_its_out_file_cannot_be_written(tmp_path, capsys):
+    scene = _gen(tmp_path, views=2)
+    capsys.readouterr()
+    assert main(["select-views", "--scene", str(scene), "--max-views", "1",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_gen_scene_refuses_a_directory_holding_more_views(tmp_path, capsys):
+    _gen(tmp_path, views=4)
+    scene = _gen(tmp_path, views=4, width=8)  # the same views are overwritten
+    capsys.readouterr()
+    assert main(["gen-scene", "--out", str(scene), "--views", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: view_2, view_3 under {scene} would not be "
+                            f"overwritten by this run; remove or write elsewhere\n")
+    # nothing was written: view 0 keeps its 16x16 pixels of width 8
+    assert sorted(p.name for p in scene.iterdir()) == [f"view_{i}" for i in range(4)]
+    assert read_tensor(scene / "view_0" / "feature.tns").shape == (16 * 16, 8)
+
+
+def test_forward_refuses_an_out_dir_holding_more_levels(tmp_path, capsys):
+    scene = _gen(tmp_path, res="8x8")
+    out = tmp_path / "ply"
+    runs = {}
+    for n_blocks, seed in ((2, 0), (1, 5)):
+        cfg = _write_cfg(tmp_path / f"cfg{n_blocks}.json", n_blocks=n_blocks, seed=seed)
+        ckpt = tmp_path / f"ckpt{n_blocks}"
+        assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+        runs[n_blocks] = ["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                          "--out-dir", str(out), "--config", cfg]
+    assert main(runs[2]) == 0
+    assert main(runs[2]) == 0  # the same levels are overwritten
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(written) == ["level_1.ply", "level_2.ply"]
+    capsys.readouterr()
+    assert main(runs[1]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: level_2.ply under {out} would not be overwritten "
+                            f"by this run; remove or write elsewhere\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
 def test_select_views_negative_min_gain_exits_2(tmp_path):
@@ -693,13 +739,47 @@ def test_a_view_that_fails_to_unproject_is_named_once(tmp_path, capsys):
 
 def test_view_payload_unlike_its_depth_map_exits_2(tmp_path, capsys):
     scene = _gen(tmp_path, res="8x8")
-    write_tensor(scene / "view_1" / "color.tns", np.full((2, 2, 3), 0.5, np.float32))
+    path = scene / "view_1" / "color.tns"
+    write_tensor(path, np.full((2, 2, 3), 0.5, np.float32))
     cfg = _write_cfg(tmp_path / "cfg.json")
     ckpt = tmp_path / "ckpt"
     assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
     assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
                  "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 2
-    assert "view 1" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {path}: colors (2, 2, 3) are not")
+
+
+# a payload whose element count fits its depth map but whose layout does not:
+# the scene's resolution and views, the file, and the rewrite of its array
+MISSHAPED_PAYLOADS = {
+    "color-channel-first": ("8x8", 2, "color.tns", lambda c: np.moveaxis(c, -1, 0)),
+    "color-3-by-pixels": ("8x8", 2, "color.tns", lambda c: np.moveaxis(c, -1, 0).reshape(3, -1)),
+    "color-flat": ("8x8", 2, "color.tns", np.ravel),
+    "color-transposed": ("8x16", 1, "color.tns", lambda c: c.transpose(1, 0, 2)),
+    "feature-transposed": ("8x16", 1, "feature.tns",
+                           lambda f: f.reshape(8, 16, -1).transpose(1, 0, 2)),
+}
+
+
+@pytest.mark.parametrize("case", MISSHAPED_PAYLOADS)
+def test_a_payload_laid_out_unlike_its_depth_map_exits_2(tmp_path, capsys, case):
+    res, views, name, rewrite = MISSHAPED_PAYLOADS[case]
+    scene = _gen(tmp_path, res=res, views=views)
+    path = scene / "view_0" / name
+    write_tensor(path, rewrite(read_tensor(path)))
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    ckpt = tmp_path / "ckpt"
+    assert main(["init-checkpoint", "--out", str(ckpt), "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["forward", "--scene", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "o"), "--config", cfg]) == 2
+    what = "colors" if name == "color.tns" else "features"
+    assert capsys.readouterr().err.startswith(f"error: {path}: {what} ")
+    # the same arrays handed to assemble name their view
+    arrays = [(depth, camera, read_tensor(color), read_tensor(feature))
+              for depth, camera, color, feature in load_scene_dir(scene)]
+    with pytest.raises(errors.InputError, match=f"^view 0: {what} "):
+        assemble(arrays)
 
 
 @pytest.mark.parametrize("field", [
@@ -833,3 +913,49 @@ def test_scene_config_value_of_wrong_type_exits_2(tmp_path, capsys, payload, nam
     assert main(["gen-scene", "--out", str(out), "--scene-config", str(path)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def _tree_digest(path):
+    """SHA-256 over every file's relative path and content digest, sorted."""
+    lines = []
+    for base, _, files in os.walk(path):
+        for name in files:
+            full = os.path.join(base, name)
+            with open(full, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append(f"{os.path.relpath(full, path)} {digest}\n")
+    return hashlib.sha256("".join(sorted(lines)).encode()).hexdigest()
+
+
+# The benchmark's inputs, written by the CLI: init-checkpoint for the default
+# config and for each workload's seed-1 run config (bench/spec.py; weights
+# depend on the seed and the shapes only, so the three agree), and a default
+# gen-scene, a plane. Both use only integer mixing and IEEE arithmetic, so the
+# bytes hold across numpy builds. Sphere scenes, the benchmark's pools, are
+# left out: their camera poses go through np.sin, np.cos and np.linalg.norm,
+# whose last bit can vary between numpy builds.
+GOLDEN_INPUTS = {
+    "checkpoint-default": (["init-checkpoint"], None,
+                           "c088ad8663d0e1ec2bb9f4ac749c79ebdecd9c729bbf90dd6c1c8681478bba9d"),
+    "checkpoint-dense-k": (["init-checkpoint"], {"cell": 0.0625, "seed": 1},
+                           "50acf47c711eea89b943ef674b8c1ab0b1402950167799c55575799dca634165"),
+    "checkpoint-sparse-k": (["init-checkpoint"], {"cell": 0.03125, "select_k": 8, "seed": 1},
+                            "50acf47c711eea89b943ef674b8c1ab0b1402950167799c55575799dca634165"),
+    "checkpoint-many-views": (["init-checkpoint"], {"cell": 0.125, "select_k": 8, "seed": 1},
+                              "50acf47c711eea89b943ef674b8c1ab0b1402950167799c55575799dca634165"),
+    "plane-scene": (["gen-scene"], None,
+                    "a34364adb61ea569c2f98a1ee4d4f9b813004362fc266f8084e1eadcd0fef2dd"),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_INPUTS)
+def test_benchmark_inputs_match_their_golden_digests(tmp_path, case):
+    argv, run, digest = GOLDEN_INPUTS[case]
+    out = tmp_path / "out"
+    argv = argv + ["--out", str(out)]
+    if run is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(run))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    assert _tree_digest(out) == digest

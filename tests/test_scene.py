@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -423,10 +424,12 @@ def test_features_replaced_after_loading_are_read_when_assembled(tmp_path, name,
     stored = scene.read_tensor(tmp_path / "scene" / "view_0" / name)
     assert np.array_equal(getattr(rep, field)[:64], stored.reshape(64, -1))
     assert np.all(getattr(rep, field)[64:] == fill)
-    # the replacement is checked again: a header unlike the depth map is rejected
+    # the replacement is checked again: a header unlike the depth map is
+    # rejected, naming the file
     scene.write_tensor(fresh, np.zeros(unlike, dtype=np.float32))
-    os.replace(fresh, tmp_path / "scene" / "view_1" / name)
-    with pytest.raises(InputError, match="view 1"):
+    replaced = tmp_path / "scene" / "view_1" / name
+    os.replace(fresh, replaced)
+    with pytest.raises(InputError, match=f"^{re.escape(str(replaced))}: {field} "):
         scene.assemble(loaded)
 
 

@@ -74,6 +74,24 @@ def test_block_pool_short_final_block_uses_actual_length():
     assert np.allclose(out.ravel(), [1.5, 5.5, 8.5])
 
 
+@pytest.mark.parametrize("block_len", [1, 32, 5000])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 907, 4096])
+def test_every_stage_cuts_a_level_into_the_same_blocks(n, block_len):
+    # the plain cut: runs of block_len rows, the last one shorter
+    want = [(s, min(s + block_len, n) - s) for s in range(0, n, block_len)]
+    starts, lengths = zformer._blocks(n, block_len)
+    assert list(zip(starts.tolist(), lengths.tolist())) == want
+    assert zformer.block_pool(np.zeros((n, 1)), block_len).shape == (len(want), 1)
+    cfg = zformer.AttentionConfig(block_len=block_len, model_width=2, head_width=2)
+    q = k = v = _features(n, 2, seed=171)
+    q_blocks = zformer._topk_layout(q, k, v, cfg)[0]
+    assert q_blocks.shape[:2] == (len(want), want[0][1])
+    own = np.arange(len(want))[:, None]
+    loop = zformer._topk_loop_fwd(q, k, v, own, cfg)[1]
+    assert [(b["rows"].start, b["rows"].stop - b["rows"].start) for b in loop] == want
+    assert all(np.array_equal(b["idx"], np.arange(s, s + m)) for b, (s, m) in zip(loop, want))
+
+
 # ---------------------------------------------------------------------------
 # equivalence ladder against the dense oracle
 
@@ -148,8 +166,7 @@ def _assert_kernel_matches_loop(cfg, q, k, v, selection, tol, bounded):
     assert zformer._scores_are_bounded(*blocks, cfg.n_heads, keys) is bounded
     n = len(q)
     chunked = zformer._topk_chunks(*blocks, n, selection, cfg)
-    counts = zformer._block_counts(n, cfg.block_len)
-    loop, _ = zformer._topk_loop_fwd(q, k, v, selection, counts, cfg)
+    loop, _ = zformer._topk_loop_fwd(q, k, v, selection, cfg)
     assert chunked.shape == loop.shape == (n, cfg.head_width)
     assert np.abs(chunked.astype(np.float64) - loop.astype(np.float64)).max() < tol
 
