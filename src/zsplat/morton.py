@@ -52,6 +52,11 @@ def _check_depth(depth: int) -> None:
         raise RangeError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
 
 
+def _check_cell(cell) -> None:
+    if not (np.isfinite(cell) and cell > 0):
+        raise RangeError(f"cell size must be positive, got {cell}")
+
+
 def encode_array(coords: np.ndarray, depth: int) -> np.ndarray:
     """Interleave integer (N, 3) coordinates into uint64 Morton codes."""
     _check_depth(depth)
@@ -113,20 +118,26 @@ class Quantizer:
 
     def __post_init__(self):
         _check_depth(self.depth)
-        if not (np.isfinite(self.cell) and self.cell > 0):
-            raise RangeError(f"cell size must be positive, got {self.cell}")
-        origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        object.__setattr__(self, "origin", origin)
+        _check_cell(self.cell)
+        origin = np.asarray(self.origin, dtype=np.float64)
+        if origin.size != 3:
+            raise InputError(f"grid origin must hold 3 values, got shape {origin.shape}")
+        if not np.isfinite(origin).all():
+            raise RangeError(f"grid origin must be finite, got {origin.tolist()}")
+        object.__setattr__(self, "origin", origin.reshape(3))
 
     @classmethod
-    def fit(cls, points: np.ndarray, depth: int = 16) -> "Quantizer":
-        """Bounding-box quantizer: box expanded by ``_FIT_PAD`` (fractional),
-        cell equal to the longest expanded extent divided by 2^depth. A box
-        whose origin or cell overflows float64 is a RangeError."""
+    def fit(cls, points: np.ndarray, depth: int = 16, cell: float | None = None) -> "Quantizer":
+        """The grid of non-empty, finite (n, 3) ``points``, else an InputError.
+        With ``cell`` None: the bounding box grown by ``_FIT_PAD`` (fractional),
+        cell = the longest grown extent / 2^depth. With a ``cell``: the origin
+        ``1e-3·cell`` below the box; a box wider than 2^depth cells is a
+        RangeError naming both spans. An origin or cell past float64 range is
+        a RangeError either way."""
         _check_depth(depth)
         points = np.asarray(points, dtype=np.float64)
-        if points.size == 0:
-            raise InputError("cannot fit a quantizer to an empty point set")
+        if points.ndim != 2 or points.shape[1] != 3 or not len(points):
+            raise InputError(f"expected non-empty (n, 3) points, got shape {points.shape}")
         lo, hi = bounding_box(points)
         # min and max carry a NaN or an infinity through, so finite bounds
         # mean finite points
@@ -134,12 +145,18 @@ class Quantizer:
             raise InputError("points contain non-finite values")
         with np.errstate(over="ignore"):  # an overflow is reported below
             extent = hi - lo
-            span = float(extent.max())
-            if span <= 0.0:
-                span = 1.0
-            margin = 0.5 * _FIT_PAD * np.maximum(extent, span * 1e-12)
-            origin = lo - margin
-            cell = span * (1.0 + _FIT_PAD) / (1 << depth)
+            if cell is None:
+                span = float(extent.max()) or 1.0  # extents are >= 0
+                origin = lo - 0.5 * _FIT_PAD * np.maximum(extent, span * 1e-12)
+                cell = span * (1.0 + _FIT_PAD) / (1 << depth)
+            else:
+                _check_cell(cell)
+                origin = lo - 1e-3 * cell
+                # the far corner's cell, in the float64 arithmetic quantize uses
+                if (np.floor((hi - origin) / cell) > (1 << depth) - 1).any():
+                    raise RangeError(
+                        f"points span ({', '.join(f'{v:.6g}' for v in extent)}) per axis, but cell "
+                        f"{cell} at depth {depth} gives a grid spanning {(1 << depth) * cell:.6g}")
         if not (np.isfinite(origin).all() and np.isfinite(cell)):
             raise RangeError(f"points span {lo.tolist()} to {hi.tolist()}, past float64 range")
         return cls(origin, cell, depth)

@@ -1,4 +1,4 @@
-"""Stacked transformer blocks, quantizer management, and checkpoints.
+"""Stacked transformer blocks, the grid coarsening between them, and checkpoints.
 
 Between blocks the quantizer is coarsened by the pooling depth (cell scaled
 by 2^h, bit depth reduced by h), so the grid a block sorts and pools on is
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import CheckpointError, ConfigError, FormatError, RangeError
+from .errors import CheckpointError, ConfigError, FormatError
 from .gaussian_head import HeadParams, predict
-from .morton import Quantizer, bounding_box
+from .morton import Quantizer
 from .numerics import LinearLayer, derive_seed
 from .scene import (PointRepresentation, check_fields, integer, one_of, optional,
                     read_json_object, read_tensor, worded, write_tensor)
@@ -84,26 +84,9 @@ def init_model(cfg: RunConfig) -> ModelParams:
 
 
 def make_quantizer(points: np.ndarray, cfg: RunConfig) -> Quantizer:
-    """A grid of ``cfg.cell`` starting just below the points, else a bbox fit.
-
-    The explicit grid must hold every point: where ``Quantizer.quantize``
-    would clamp one onto the grid's far face, this raises RangeError."""
-    if cfg.cell is None:
-        return Quantizer.fit(points, cfg.serialize_depth)
-    lo, hi = bounding_box(points)
-    # the far corner's cell, in the float64 arithmetic quantize uses; an
-    # overflow here leaves an infinite cell index, which the check rejects
-    with np.errstate(over="ignore"):
-        quant = Quantizer(lo - 1e-3 * cfg.cell, cfg.cell, cfg.serialize_depth)
-        top = np.floor((hi - quant.origin) / quant.cell)
-        extent = hi - lo
-    if (top > (1 << quant.depth) - 1).any():
-        raise RangeError(
-            f"points span ({', '.join(f'{v:.6g}' for v in extent)}) per axis, but cell "
-            f"{cfg.cell} at depth {quant.depth} gives a grid spanning "
-            f"{(1 << quant.depth) * quant.cell:.6g}"
-        )
-    return quant
+    """The config's adapter to ``Quantizer.fit``: the grid of ``cfg.cell`` (a
+    fitted one when None) at ``cfg.serialize_depth``."""
+    return Quantizer.fit(points, cfg.serialize_depth, cfg.cell)
 
 
 def forward_scene(rep: PointRepresentation, cfg: RunConfig, model: ModelParams):

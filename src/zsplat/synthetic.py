@@ -67,10 +67,8 @@ def _look_at(eye, target) -> np.ndarray:
     eye = np.asarray(eye, dtype=np.float64)
     fwd = np.asarray(target, dtype=np.float64) - eye
     fwd = fwd / np.linalg.norm(fwd)
-    up = np.array([0.0, 1.0, 0.0])
-    if abs(fwd @ up) > 0.999:
-        up = np.array([1.0, 0.0, 0.0])
-    right = np.cross(up, fwd)
+    # _sphere_views puts each eye level with its target, so fwd is horizontal
+    right = np.cross(np.array([0.0, 1.0, 0.0]), fwd)
     right /= np.linalg.norm(right)
     down = np.cross(fwd, right)
     mat = np.eye(4)

@@ -37,8 +37,7 @@ def _check(name, passed, detail=""):
 def run_morton_suite():
     checks = []
     # encode agrees with the bit-loop definition on random triples at depths
-    # exercising every magic-mask stage
-    ok = True
+    # exercising every magic-mask stage; the detail names the first mismatch
     detail = ""
     for depth in (1, 4, 9, 16, morton.MAX_DEPTH):
         vals = (uniform01(depth, 3 * 64) * (1 << depth)).astype(np.int64).reshape(-1, 3)
@@ -46,10 +45,11 @@ def run_morton_suite():
         for row, code in zip(vals, got):
             want = reference.encode_reference(*(int(c) for c in row), depth)
             if int(code) != want:
-                ok = False
                 detail = f"depth {depth}: {row} -> {int(code)} != {want}"
                 break
-    checks.append(_check("morton/encode-matches-bit-loop", ok, detail))
+        if detail:
+            break
+    checks.append(_check("morton/encode-matches-bit-loop", not detail, detail))
     # roundtrip and nesting at depth 16
     vals = (uniform01(99, 3 * 256) * (1 << 16)).astype(np.int64).reshape(-1, 3)
     codes = morton.encode_array(vals, 16)

@@ -706,7 +706,7 @@ def zorder_pool_fwd(rep, codes: np.ndarray, levels: int, params: ZFormerParams,
     if member_mean:
         positions = positions[0] / counts[:, None]
     else:
-        coarse = quantizer.coarsen(levels) if levels else quantizer
+        coarse = quantizer.coarsen(levels)
         ijk = decode_array(new_codes, coarse.depth)
         positions = coarse.cell_centers(ijk)
     view_of = rep.view_of[starts]

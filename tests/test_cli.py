@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from zsplat import cli, errors
+from zsplat import cli, errors, reference
 from zsplat.cli import main
 from zsplat.scene import (assemble, decode_json_object, load_scene_dir, read_gaussians_ply,
                           read_tensor, view_points, write_tensor)
@@ -198,6 +198,16 @@ def test_verify_passes_and_prints_per_check_lines(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 8
+
+
+def test_verify_names_the_first_failing_depth(monkeypatch, capsys):
+    # an off-by-one reference fails at every depth; the detail names the first
+    encode = reference.encode_reference
+    monkeypatch.setattr(reference, "encode_reference", lambda *args: encode(*args) + 1)
+    assert main(["verify", "--suite", "morton"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL morton/encode-matches-bit-loop (depth 1: ")
+    assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed"
 
 
 def test_unknown_config_key_exits_2(tmp_path):

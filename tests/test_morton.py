@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zsplat import morton, reference
+from zsplat.config import RunConfig
 from zsplat.errors import InputError, RangeError
 from zsplat.numerics import uniform01
+from zsplat.pipeline import make_quantizer
 from zsplat.scene import PointRepresentation
 
 coords21 = st.integers(min_value=0, max_value=2**21 - 1)
@@ -189,6 +191,46 @@ def test_quantizer_rejects_bad_construction():
     for depth in (-1, 0, 22, 10**6):  # the depth is checked before the points
         with pytest.raises(RangeError, match="depth must be in"):
             morton.Quantizer.fit(np.zeros((0, 3)), depth)
+
+
+def test_an_explicit_cell_puts_the_origin_just_below_the_box():
+    points = (uniform01(36, 3 * 500).reshape(-1, 3) - 0.4) * 7
+    for cell in (0.01, 0.0625):
+        q = make_quantizer(points, RunConfig(cell=cell))
+        assert q.origin.tobytes() == (points.min(axis=0) - 1e-3 * cell).tobytes()
+        assert (q.cell, q.depth) == (cell, 16)
+
+
+@pytest.mark.parametrize("cell", [None, 0.1], ids=["fitted", "explicit-cell"])
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((0, 3)), "expected non-empty (n, 3) points, got shape (0, 3)"),
+    (np.array([[0.0, np.nan, 0.0]]), "points contain non-finite values"),
+    (np.array([[0.0, np.inf, 0.0]]), "points contain non-finite values"),
+    (np.array([[0.0, -np.inf, 0.0], [1.0, 1.0, 1.0]]), "points contain non-finite values"),
+    (np.zeros((4, 2)), "expected non-empty (n, 3) points, got shape (4, 2)"),
+], ids=["empty", "nan", "inf", "-inf", "n-by-2"])
+def test_both_grid_fits_reject_the_same_points(cell, points, message):
+    # make_quantizer is Quantizer.fit with the config's cell, so both grids
+    # share one set of input checks, raised before any numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as info:
+            make_quantizer(points, RunConfig(cell=cell))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("origin, error, message", [
+    (np.full(3, -np.inf), RangeError, "grid origin must be finite, got [-inf, -inf, -inf]"),
+    (np.array([0.0, np.nan, 0.0]), RangeError, "grid origin must be finite, got [0.0, nan, 0.0]"),
+    (np.zeros(2), InputError, "grid origin must hold 3 values, got shape (2,)"),
+], ids=["-inf", "nan", "two-values"])
+def test_a_quantizer_refuses_an_origin_no_grid_can_have(origin, error, message):
+    # refused when built: encoding would clamp every point onto one corner
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            morton.Quantizer(origin, 1.0, 4).encode_points(np.zeros((2, 3)))
+    assert str(info.value) == message
 
 
 def _random_rep(n, seed):
